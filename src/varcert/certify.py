@@ -130,7 +130,6 @@ class Certificate:
     interval_length: float
     quad_coefficient: Optional[float]
     grid_n: int
-    k_extremum_note: bool = False
 
     def __post_init__(self):
         has_coefficient = self.quad_coefficient is not None
@@ -140,13 +139,8 @@ class Certificate:
             raise ValueError("quad_coefficient must be positive")
 
 
-def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8,
-            sobolev_note: bool = False) -> Certificate:
-    """Full pipeline: residual, Legendre profile, verdict, quadratic coefficient.
-
-    ``sobolev_note`` flags the certificate for compact-extremum reporting;
-    it changes no numeric content.
-    """
+def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8) -> Certificate:
+    """Full pipeline: residual, Legendre profile, verdict, quadratic coefficient."""
     ensure_same_interval(y0, grid)
     el_max = el_residual_max(f, y0, grid)
     profile = legendre_profile(f, y0, grid)
@@ -161,7 +155,6 @@ def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8,
         interval_length=grid.length,
         quad_coefficient=coefficient,
         grid_n=grid.n,
-        k_extremum_note=sobolev_note,
     )
 
 

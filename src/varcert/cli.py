@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -40,7 +39,7 @@ from .expr import EvalDomainError, ParseError, ZERO, diff, parse, unparse
 from .generator import (
     GeneratorError,
     GeneratorSpec,
-    build_with_info,
+    build,
     sample_corpus,
 )
 from .jacobi import AccessoryIntegrationError, compare_criteria
@@ -53,7 +52,6 @@ EXIT_PRECONDITION = 3
 
 _DEFAULT_GRID_N = 512
 _DEFAULT_EL_TOL = 1e-8
-_GRID_ENV = "VARCERT_GRID_N"
 
 _NOTES = {
     VerdictKind.MINIMUM_UNCONDITIONAL: (
@@ -144,11 +142,6 @@ def _resolve_grid_n(flag: Optional[int], file_value) -> int:
         n = flag
     elif file_value is not None:
         n = file_value
-    elif os.environ.get(_GRID_ENV):
-        try:
-            n = int(os.environ[_GRID_ENV])
-        except ValueError:
-            raise CliInputError(f"{_GRID_ENV} must be an integer")
     else:
         n = _DEFAULT_GRID_N
     if not isinstance(n, int) or isinstance(n, bool):
@@ -226,7 +219,7 @@ def _certificate_block(cert: Certificate) -> dict:
         "length_bound": _reported_length_bound(cert),
         "quad_coefficient": cert.quad_coefficient,
         "grid_n": cert.grid_n,
-        "k_extremum_note": _SOBOLEV_NOTE if cert.k_extremum_note else None,
+        "k_extremum_note": None,
     }
     return block
 
@@ -251,10 +244,12 @@ def cmd_certify(args) -> int:
     f = Integrand.from_text(problem.integrand)
     y0 = Extremal.from_text(problem.extremal, problem.a, problem.b)
     grid = Grid(problem.a, problem.b, problem.grid_n)
-    cert = certify(f, y0, grid, el_tol=problem.el_tol, sobolev_note=args.sobolev)
+    cert = certify(f, y0, grid, el_tol=problem.el_tol)
     report = {"command": "certify", "version": __version__,
               "problem": _problem_echo(problem)}
     report.update(_certificate_block(cert))
+    if args.sobolev:
+        report["k_extremum_note"] = _SOBOLEV_NOTE
     if args.plot_data:
         profile = legendre_profile(f, y0, grid)
         _write_plot_data(args.plot_data, grid, profile.p_of_x, profile.q_of_x)
@@ -412,7 +407,7 @@ def cmd_generate(args) -> int:
         })
         return EXIT_OK
     spec = _spec_from_json(_load_json(args.spec))
-    integrand, info = build_with_info(spec)
+    integrand, info = build(spec)
     extremal = spec.y0 if spec.y0 is not None else Extremal.zero(spec.a, spec.b)
     grid = Grid(spec.a, spec.b, _resolve_grid_n(args.grid_n, None))
     cert = certify(integrand, extremal, grid)
@@ -523,6 +518,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: expression is nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

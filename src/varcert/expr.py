@@ -7,7 +7,6 @@ and 0/1 identities, and numeric evaluation on scalars or numpy arrays.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache

@@ -15,13 +15,11 @@ into the zero-path template. Doubles as the property-test corpus factory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from scipy.interpolate import CubicSpline
 
 from .calculus import Grid, cumulative_integral
 from .certify import MINIMUM_KINDS, VerdictKind, certify
@@ -116,13 +114,6 @@ class AntiderivativeTable:
         if values[0] != 0.0:
             raise ValueError("antiderivative must vanish at the left endpoint")
         object.__setattr__(self, "values", values)
-
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        return CubicSpline(self.grid.nodes, self.values)
-
-    def __call__(self, x):
-        return self._spline(x)
 
 
 def tabulate_antiderivative(rate: Callable[[np.ndarray], np.ndarray], a: float,
@@ -360,13 +351,15 @@ def _check_positive(pfun: Expr, a: float, b: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builder
 
 
-def build_zero_with_info(spec: GeneratorSpec) -> tuple:
-    """Integrand whose zero path is an exact extremal, plus build provenance."""
-    if spec.y0 is not None:
-        raise ValueError("build_zero requires the zero designated path")
+def build(spec: GeneratorSpec) -> tuple:
+    """(Integrand, BuildInfo) whose designated path is an exact extremal.
+
+    The zero-path template is assembled first; a designated path y0 then
+    recentres it by substituting y -> y - y0(x), z -> z - y0'(x).
+    """
     _check_positive(spec.pfun, spec.a, spec.b)
     rate = simplify(substitute(diff(spec.P, "y"), {"y": ZERO}))
     A, info = _materialize(rate, spec.a, spec.b)
@@ -385,36 +378,13 @@ def build_zero_with_info(spec: GeneratorSpec) -> tuple:
             Expr("pow", (z,), 2),
         )),
     )))
+    if spec.y0 is not None:
+        mapping = {
+            "y": Expr("sub", (Y, spec.y0.y0)),
+            "z": Expr("sub", (z, spec.y0.y0p)),
+        }
+        f = simplify(substitute(f, mapping))
     return Integrand(f), info
-
-
-def build_zero(spec: GeneratorSpec) -> Integrand:
-    return build_zero_with_info(spec)[0]
-
-
-def build_shifted_with_info(spec: GeneratorSpec) -> tuple:
-    """Same template recentred on the designated path by substitution."""
-    if spec.y0 is None:
-        raise ValueError("build_shifted requires a designated path")
-    base, info = build_zero_with_info(replace(spec, y0=None))
-    mapping = {
-        "y": Expr("sub", (Y, spec.y0.y0)),
-        "z": Expr("sub", (var("z"), spec.y0.y0p)),
-    }
-    return Integrand(simplify(substitute(base.f, mapping))), info
-
-
-def build_shifted(spec: GeneratorSpec) -> Integrand:
-    return build_shifted_with_info(spec)[0]
-
-
-def build(spec: GeneratorSpec) -> Integrand:
-    """Dispatch on whether a designated path is present."""
-    return build_zero(spec) if spec.y0 is None else build_shifted(spec)
-
-
-def build_with_info(spec: GeneratorSpec) -> tuple:
-    return build_zero_with_info(spec) if spec.y0 is None else build_shifted_with_info(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +434,7 @@ def sample_corpus(seed: int, count: int, a: float, b: float) -> list:
         rng = np.random.default_rng((seed, index))
         for _ in range(_MAX_ATTEMPTS):
             candidate = _draw(rng, a, b)
-            integrand = build(candidate)
+            integrand, _ = build(candidate)
             extremal = candidate.y0 if candidate.y0 is not None else Extremal.zero(a, b)
             cert = certify(integrand, extremal, screen_grid)
             if cert.verdict.kind not in MINIMUM_KINDS:

@@ -113,16 +113,6 @@ def first_conjugate_point(sol: AccessorySolution) -> Optional[float]:
     return None
 
 
-def accessory_value(sol: AccessorySolution, x: float) -> float:
-    """U(x) anywhere on the grid via the per-cell Hermite interpolant."""
-    xs = sol.grid.nodes
-    if not xs[0] <= x <= xs[-1]:
-        raise ValueError("abscissa outside the solution grid")
-    i = min(int((x - xs[0]) / sol.grid.h), sol.grid.n - 1)
-    cell = _hermite(xs[i], xs[i + 1], sol.U[i], sol.Up[i], sol.U[i + 1], sol.Up[i + 1])
-    return float(cell(x))
-
-
 def _hermite(x0: float, x1: float, u0: float, up0: float,
              u1: float, up1: float) -> Callable[[float], float]:
     h = x1 - x0

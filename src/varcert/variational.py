@@ -3,15 +3,14 @@
 Everything the certification pipeline needs from an integrand f(x, y, z),
 with z standing for the slope y', is derived symbolically here: the
 Euler-Lagrange residual, the pointwise coefficients p(x) = f_zz and
-q(x) = f_yy - d/dx f_yz along a candidate path, a quadratic-in-slope
-decomposition, and the change of variables that recenters a problem on an
-arbitrary twice-differentiable path.
+q(x) = f_yy - d/dx f_yz along a candidate path, and the change of variables
+that recenters a problem on an arbitrary twice-differentiable path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .calculus import Grid
 from .expr import (
     ZERO,
     Expr,
-    const,
     diff,
     evaluate,
     free_vars,
@@ -212,51 +210,6 @@ def el_residual(f: Integrand, y0: Extremal, grid: Grid) -> np.ndarray:
 
 def el_residual_max(f: Integrand, y0: Extremal, grid: Grid) -> float:
     return float(np.max(np.abs(el_residual(f, y0, grid))))
-
-
-def el_residual_fd(f: Integrand, y0: Extremal, grid: Grid) -> np.ndarray:
-    """Residual with d/dx f_z taken by central differences; cross-check only."""
-    ensure_same_interval(y0, grid)
-    h = (y0.b - y0.a) * 1e-5
-
-    def momentum(xs):
-        yv, ypv, _ = y0.sample(xs)
-        return sample_expr(f.f_z, {"x": xs, "y": yv, "z": ypv}, xs)
-
-    xs = grid.nodes
-    dfz = (momentum(xs + h) - momentum(xs - h)) / (2.0 * h)
-    yv, ypv, _ = y0.sample(xs)
-    return sample_expr(f.f_y, {"x": xs, "y": yv, "z": ypv}, xs) - dfz
-
-
-@dataclass(frozen=True)
-class QuadraticDecomposition:
-    """f split as P(x,y) + Q(x,y) z + (1/2) R(x,y,z) z^2.
-
-    ``R`` is the quotient expression 2 (f - P - Q z) / z^2, singular at z = 0;
-    ``R_at_zero`` carries the limiting value f_zz(x, y, 0) for that point.
-    """
-
-    P: Expr
-    Q: Expr
-    R: Expr
-    R_at_zero: Expr
-
-    def r_value(self, x: float, y: float, z: float) -> float:
-        branch = self.R_at_zero if z == 0.0 else self.R
-        return float(evaluate(branch, {"x": x, "y": y, "z": z}))
-
-
-def decompose(f: Integrand) -> QuadraticDecomposition:
-    at_zero_slope = {"z": ZERO}
-    P = simplify(substitute(f.f, at_zero_slope))
-    Q = simplify(substitute(f.f_z, at_zero_slope))
-    z = var("z")
-    quotient = simplify(
-        (const(2.0) * (f.f - P - Q * z)) / z ** 2
-    )
-    limit = simplify(substitute(f.f_zz, at_zero_slope))
-    return QuadraticDecomposition(P, Q, quotient, limit)
 
 
 def shift(f: Integrand, y0: Extremal) -> Integrand:

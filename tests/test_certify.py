@@ -179,12 +179,6 @@ def test_certify_rejects_non_extremal():
     assert cert.quad_coefficient is None
 
 
-def test_certify_sobolev_note_flag():
-    cert = certify(Integrand.from_text("0.5*z^2"), Extremal.zero(0.0, 1.0),
-                   Grid(0.0, 1.0, 64), sobolev_note=True)
-    assert cert.k_extremum_note is True
-
-
 def test_functional_value_dirichlet():
     grid = Grid(0.0, 1.0, 64)
     xs = grid.nodes

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,17 +90,13 @@ def test_certify_sobolev_note(tmp_path, capsys):
     assert json.loads(out)["k_extremum_note"] is None
 
 
-def test_grid_precedence(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("VARCERT_GRID_N", "128")
+def test_grid_precedence(tmp_path, capsys):
     file_path = _problem(tmp_path, grid_n=256)
     _, out, _ = _run(capsys, ["certify", file_path, "--grid-n", "64"])
     assert json.loads(out)["grid_n"] == 64  # flag wins
     _, out, _ = _run(capsys, ["certify", file_path])
     assert json.loads(out)["grid_n"] == 256  # then the file
     bare_path = _problem(tmp_path, name="bare.json")
-    _, out, _ = _run(capsys, ["certify", bare_path])
-    assert json.loads(out)["grid_n"] == 128  # then the environment
-    monkeypatch.delenv("VARCERT_GRID_N")
     _, out, _ = _run(capsys, ["certify", bare_path])
     assert json.loads(out)["grid_n"] == 512  # then the default
 
@@ -137,6 +137,16 @@ def test_missing_interval_exits_one(tmp_path, capsys):
     path.write_text(json.dumps({"integrand": "z^2"}), encoding="utf-8")
     code, _, _ = _run(capsys, ["certify", str(path)])
     assert code == EXIT_ERROR
+
+
+def test_deeply_nested_expression_exits_one(tmp_path, capsys):
+    terms = [f"{k}*x*y" for k in range(1, 600)] + ["z^2"]
+    path = _problem(tmp_path, integrand="+".join(terms))
+    code, out, err = _run(capsys, ["certify", path])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.splitlines() == ["error: expression is nested too deeply"]
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -316,3 +326,28 @@ def test_generate_requires_exactly_one_source(tmp_path, capsys):
     path = _genspec(tmp_path, P="x*y")
     code, _, err = _run(capsys, ["generate", path, "--corpus", "0", "2"])
     assert code == EXIT_ERROR and err != ""
+
+
+# ---------------------------------------------------------------------------
+# module entry
+
+
+def _fresh_python(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_module_entry_runs_without_runpy_warning():
+    result = _fresh_python("-W", "error::RuntimeWarning", "-m", "varcert.cli", "--help")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "certify" in result.stdout
+
+
+def test_package_import_does_not_load_the_cli():
+    result = _fresh_python("-c", "import sys, varcert; print('varcert.cli' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

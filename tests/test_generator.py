@@ -15,10 +15,6 @@ from varcert import (
     LegendreError,
     antiderivative,
     build,
-    build_shifted,
-    build_zero,
-    build_zero_with_info,
-    build_with_info,
     certify,
     diff,
     el_residual_max,
@@ -124,8 +120,6 @@ def test_tabulate_antiderivative_cosine():
     table = tabulate_antiderivative(np.cos, 0.0, 2.0, 512)
     assert table.values[0] == 0.0
     assert np.max(np.abs(table.values - np.sin(table.grid.nodes))) < 1e-10
-    # spline evaluation between nodes
-    assert table(1.2345) == pytest.approx(math.sin(1.2345), abs=1e-9)
 
 
 def test_table_validation():
@@ -141,7 +135,7 @@ def test_table_validation():
 
 
 def test_trivial_spec_collapses_to_dirichlet():
-    assert build_zero(GeneratorSpec()).f == parse("0.5*z^2")
+    assert build(GeneratorSpec())[0].f == parse("0.5*z^2")
 
 
 def test_zero_path_is_always_stationary():
@@ -154,14 +148,14 @@ def test_zero_path_is_always_stationary():
     grid = Grid(0.0, 1.0, 128)
     zero = Extremal.zero(0.0, 1.0)
     for spec in cases:
-        f = build_zero(spec)
+        f, _ = build(spec)
         assert el_residual_max(f, zero, grid) < 1e-10
 
 
 def test_linear_coefficient_structure():
     # P = sin(x) y gives A = 1 - cos(x); the slope coefficient at y = 0 is
     # C + A(x) and vanishes with C = 0 at x = 0
-    f = build_zero(GeneratorSpec(P=parse("sin(x)*y")))
+    f, _ = build(GeneratorSpec(P=parse("sin(x)*y")))
     linear = simplify(substitute(diff(f.f, "z"), {"y": ZERO, "z": ZERO}))
     for t in (0.0, 0.5, 1.0):
         assert evaluate(linear, {"x": t}) == pytest.approx(1.0 - math.cos(t), abs=1e-12)
@@ -169,28 +163,20 @@ def test_linear_coefficient_structure():
 
 def test_leading_coefficient_matches_pfun():
     spec = GeneratorSpec(P=parse("x*y"), pfun=parse("1+x^2"))
-    f = build_zero(spec)
+    f, _ = build(spec)
     profile = legendre_profile(f, Extremal.zero(0.0, 1.0), Grid(0.0, 1.0, 64))
     assert np.allclose(profile.p_of_x, 1.0 + Grid(0.0, 1.0, 64).nodes ** 2)
 
 
 def test_pfun_positivity_enforced():
     with pytest.raises(LegendreError):
-        build_zero(GeneratorSpec(pfun=parse("sin(x)"), a=0.0, b=4.0))
-
-
-def test_build_zero_refuses_designated_path():
-    spec = GeneratorSpec(y0=Extremal.from_text("sin(x)", 0.0, 1.0))
-    with pytest.raises(ValueError):
-        build_zero(spec)
-    with pytest.raises(ValueError):
-        build_shifted(GeneratorSpec())
+        build(GeneratorSpec(pfun=parse("sin(x)"), a=0.0, b=4.0))
 
 
 def test_shifted_template_is_substitution():
     spec = GeneratorSpec(P=parse("x*y"), y0=Extremal.from_text("sin(x)", 0.0, 1.0))
-    f = build_shifted(spec)
-    base = build_zero(GeneratorSpec(P=parse("x*y")))
+    f, _ = build(spec)
+    base, _ = build(GeneratorSpec(P=parse("x*y")))
     for t, u, w in ((0.3, 0.8, -0.2), (0.9, -1.0, 1.5)):
         want = eval_at(base.f, t, u - math.sin(t), w - math.cos(t))
         assert eval_at(f.f, t, u, w) == pytest.approx(want, rel=1e-12)
@@ -199,20 +185,28 @@ def test_shifted_template_is_substitution():
 def test_shifted_path_is_stationary():
     spec = GeneratorSpec(P=parse("x*y^2"), qfun=parse("x*y"),
                          y0=Extremal.from_text("x*(1-x)", 0.0, 1.0))
-    f = build_shifted(spec)
+    f, _ = build(spec)
     assert el_residual_max(f, spec.y0, Grid(0.0, 1.0, 128)) < 1e-10
 
 
 def test_build_dispatch():
-    spec = GeneratorSpec(P=parse("x*y"))
-    assert build(spec).f == build_zero(spec).f
-    shifted_spec = GeneratorSpec(P=parse("x*y"), y0=Extremal.from_text("sin(x)", 0.0, 1.0))
-    assert build(shifted_spec).f == build_shifted(shifted_spec).f
+    # one entry point: a designated path recentres the zero-path template
+    # and leaves the materialization of A(x) untouched
+    spec = GeneratorSpec(P=parse("exp(x^2)*y"), a=0.0, b=0.6)
+    shifted_spec = GeneratorSpec(P=parse("exp(x^2)*y"), a=0.0, b=0.6,
+                                 y0=Extremal.from_text("sin(x)", 0.0, 0.6))
+    f, info = build(spec)
+    g, shifted_info = build(shifted_spec)
+    assert isinstance(f, Integrand) and isinstance(g, Integrand)
+    assert f.f != g.f
+    assert shifted_info.a_path == info.a_path == "table"
+    assert shifted_info.fit_degree == info.fit_degree
+    assert np.array_equal(shifted_info.table.values, info.table.values)
 
 
 def test_table_fallback_produces_certified_problem():
     spec = GeneratorSpec(P=parse("exp(x^2)*y"), a=0.0, b=0.6)
-    f, info = build_zero_with_info(spec)
+    f, info = build(spec)
     assert info.a_path == "table"
     assert info.fit_degree is not None
     assert info.fit_error is not None and info.fit_error < 1e-8 * 3.0
@@ -225,7 +219,7 @@ def test_table_fallback_produces_certified_problem():
 
 
 def test_symbolic_path_reports_no_table():
-    _, info = build_zero_with_info(GeneratorSpec(P=parse("sin(x)*y")))
+    _, info = build(GeneratorSpec(P=parse("sin(x)*y")))
     assert info.a_path == "symbolic"
     assert info.table is None and info.fit_degree is None
 
@@ -291,7 +285,7 @@ def test_constant_slope_term_does_not_change_gaps():
     eta_y[0] = eta_y[-1] = 0.0
     gaps = []
     for C in (-1.0, 0.0, 1.0):
-        f = build_zero(GeneratorSpec(P=parse("x*y^2"), C=C))
+        f, _ = build(GeneratorSpec(P=parse("x*y^2"), C=C))
         base = SampledPath(grid, np.zeros_like(xs), np.zeros_like(xs))
         bumped = SampledPath(grid, eta_y, eta_yp)
         gaps.append(functional_value(f, bumped) - functional_value(f, base))

@@ -10,7 +10,6 @@ from varcert import (
     Grid,
     Integrand,
     LegendreError,
-    accessory_value,
     compare_criteria,
     first_conjugate_point,
     solve_accessory,
@@ -72,12 +71,6 @@ def test_variable_coefficient_scaling():
     sol = _solve("0.5*(1+x^2)*z^2", 0.0, 2.0, n=512)
     assert np.max(np.abs(sol.U - np.arctan(sol.grid.nodes))) < 1e-8
     assert sol.conjugate_point is None
-
-
-def test_accessory_value_interpolates():
-    sol = _solve("z^2-y^2", 0.0, 2.0, n=128)
-    for x in (0.1234, 0.775, 1.5001, 1.9999):
-        assert accessory_value(sol, x) == pytest.approx(math.sin(x), abs=1e-7)
 
 
 def test_legendre_violation_raises():

@@ -9,7 +9,6 @@ from varcert import (
     Extremal,
     Grid,
     Integrand,
-    decompose,
     el_residual,
     el_residual_max,
     legendre_profile,
@@ -17,7 +16,7 @@ from varcert import (
     shift,
     unparse,
 )
-from varcert.variational import el_residual_fd, ensure_same_interval
+from varcert.variational import ensure_same_interval, sample_expr
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +93,27 @@ def test_residual_chain_rule_with_slope_coupling():
     assert np.max(np.abs(r - (-grid.nodes))) < 1e-12
 
 
+def _el_residual_fd(f, y0, grid):
+    """Residual with d/dx f_z taken by central differences."""
+    ensure_same_interval(y0, grid)
+    h = (y0.b - y0.a) * 1e-5
+
+    def momentum(xs):
+        yv, ypv, _ = y0.sample(xs)
+        return sample_expr(f.f_z, {"x": xs, "y": yv, "z": ypv}, xs)
+
+    xs = grid.nodes
+    dfz = (momentum(xs + h) - momentum(xs - h)) / (2.0 * h)
+    yv, ypv, _ = y0.sample(xs)
+    return sample_expr(f.f_y, {"x": xs, "y": yv, "z": ypv}, xs) - dfz
+
+
 def test_residual_matches_finite_difference_of_momentum():
     f = Integrand.from_text("sin(y)*z+0.5*(1+x^2)*z^2+exp(y)")
     y0 = Extremal.from_text("sin(x)", 0.0, 1.5)
     grid = Grid(0.0, 1.5, 128)
     exact = el_residual(f, y0, grid)
-    approx = el_residual_fd(f, y0, grid)
+    approx = _el_residual_fd(f, y0, grid)
     assert np.max(np.abs(exact - approx)) < 1e-6
 
 
@@ -145,41 +159,6 @@ def test_profile_minima_over_nodes():
     grid = Grid(3.0, 6.0, 4)
     profile = legendre_profile(f, Extremal.zero(3.0, 6.0), grid)
     assert profile.p_min == pytest.approx(min(2.0 + np.sin(grid.nodes)))
-
-
-# ---------------------------------------------------------------------------
-# slope-order decomposition
-
-
-def test_decompose_quadratic_integrand():
-    f = Integrand.from_text("sin(x+y)+(x+y^2)*z+0.5*(2+x^2)*z^2")
-    d = decompose(f)
-    from varcert import eval_at
-    t, u = 0.7, -0.4
-    assert eval_at(d.P, t, u, 0.0) == pytest.approx(math.sin(t + u))
-    assert eval_at(d.Q, t, u, 0.0) == pytest.approx(t + u * u)
-    assert d.r_value(t, u, 0.0) == pytest.approx(2 + t * t)
-    assert d.r_value(t, u, 1.5) == pytest.approx(2 + t * t, rel=1e-9)
-
-
-def test_decompose_reconstructs_integrand():
-    f = Integrand.from_text("y^2+x*z+0.5*(1+y^2)*z^2")
-    d = decompose(f)
-    from varcert import eval_at
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        t, u = rng.uniform(-1, 1, 2)
-        w = rng.uniform(0.1, 2.0) * (1 if rng.random() < 0.5 else -1)
-        want = eval_at(f.f, t, u, w)
-        got = (eval_at(d.P, t, u, 0.0) + eval_at(d.Q, t, u, 0.0) * w
-               + 0.5 * d.r_value(t, u, w) * w * w)
-        assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_decompose_r_at_zero_uses_limit():
-    f = Integrand.from_text("0.5*(2+sin(y))*z^2")
-    d = decompose(f)
-    assert d.r_value(0.0, 0.3, 0.0) == pytest.approx(2 + math.sin(0.3))
 
 
 # ---------------------------------------------------------------------------
