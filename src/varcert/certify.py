@@ -28,7 +28,6 @@ from .variational import (
     el_residual_max,
     ensure_same_interval,
     legendre_profile,
-    sample_expr,
 )
 
 
@@ -161,8 +160,8 @@ def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8) -> Cer
 def functional_value(f: Integrand, path: SampledPath) -> float:
     """Simpson value of the integral of f(x, y(x), y'(x)) over the path."""
     xs = path.grid.nodes
-    env = {"x": xs, "y": path.y, "z": path.yp}
-    return integrate(sample_expr(f.f, env, xs), path.grid)
+    (values,) = f.value_program.sample({"x": xs, "y": path.y, "z": path.yp}, xs)
+    return integrate(values, path.grid)
 
 
 SINE_BASIS = "sine-basis"

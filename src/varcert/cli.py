@@ -35,7 +35,7 @@ from .certify import (
     empirical_verify,
     length_bound,
 )
-from .expr import EvalDomainError, ParseError, ZERO, diff, parse, unparse
+from .expr import EvalDomainError, ParseError, diff, parse, unparse
 from .generator import (
     GeneratorError,
     GeneratorSpec,
@@ -412,7 +412,8 @@ def cmd_generate(args) -> int:
     grid = Grid(spec.a, spec.b, _resolve_grid_n(args.grid_n, None))
     cert = certify(integrand, extremal, grid)
     warnings = []
-    if diff(diff(spec.rho, "z"), "z") != ZERO:
+    rho_zz = diff(diff(spec.rho, "z"), "z")
+    if rho_zz.op != "const" or rho_zz.value != 0.0:
         warnings.append(
             "rho adds slope dependence beyond the quadratic term; the "
             "certificate below still decides the built problem numerically.")

@@ -1,15 +1,17 @@
-"""Expression trees over the variables x, y, z.
+"""Expressions over the variables x, y, z.
 
-Immutable nodes, a small recursive-descent parser, exact symbolic
-differentiation with per-node caching, simplification by constant folding
-and 0/1 identities, and numeric evaluation on scalars or numpy arrays.
+Immutable interned nodes, a small recursive-descent parser, exact symbolic
+differentiation and simplification by constant folding and 0/1 identities,
+both memoised on the nodes, and numeric evaluation on scalars or numpy
+arrays by programs compiled from one or more expressions.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+import struct
+import weakref
 from typing import Mapping, Union
 
 import numpy as np
@@ -47,38 +49,83 @@ class EvalDomainError(ValueError):
         super().__init__(f"domain error in '{op}': {detail}")
 
 
-@dataclass(frozen=True)
+# Nodes are hash-consed: building a node equal to a live one returns the live
+# one, so equality and hashing are by identity. The table holds nodes weakly
+# and keys them on their children's ids (a node keeps its children alive), so
+# the table itself keeps no node alive; constants are keyed on their bits, so
+# 0.0 and -0.0 stay distinct nodes.
+_NODES = weakref.WeakValueDictionary()
+_DOUBLE = struct.Struct("<d")
+_set = object.__setattr__
+
+
+def _check_node(op, args, value) -> None:
+    arity = _ARITY.get(op)
+    if arity is None:
+        raise ValueError(f"unknown operator {op!r}")
+    if len(args) != arity:
+        raise ValueError(f"{op!r} expects {arity} children, got {len(args)}")
+    for child in args:
+        if not isinstance(child, Expr):
+            raise TypeError("children must be Expr nodes")
+    if op == "const":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError("const payload must be a real number")
+    elif op == "var":
+        if value not in VARIABLES:
+            raise ValueError(f"unknown variable {value!r}")
+    elif op == "pow":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError("pow exponent must be a literal integer")
+    elif value is not None:
+        raise ValueError(f"{op!r} carries no payload")
+
+
 class Expr:
-    """One node of an expression tree: children in ``args``, payload in ``value``.
+    """One node of an expression DAG: children in ``args``, payload in ``value``.
 
     Payloads: ``const`` stores a float, ``var`` one of the variable names,
     ``pow`` a literal integer exponent (the base is the single child).
+    Nodes are immutable and interned; each memoises its own derivatives,
+    simplified form and free variables.
     """
 
-    op: str
-    args: tuple["Expr", ...] = ()
-    value: Union[float, str, int, None] = None
+    __slots__ = ("op", "args", "value", "_diff", "_simplified", "_free", "__weakref__")
 
-    def __post_init__(self):
-        arity = _ARITY.get(self.op)
-        if arity is None:
-            raise ValueError(f"unknown operator {self.op!r}")
-        if len(self.args) != arity:
-            raise ValueError(f"{self.op!r} expects {arity} children, got {len(self.args)}")
-        if any(not isinstance(c, Expr) for c in self.args):
-            raise TypeError("children must be Expr nodes")
-        if self.op == "const":
-            if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
-                raise TypeError("const payload must be a real number")
-            object.__setattr__(self, "value", float(self.value))
-        elif self.op == "var":
-            if self.value not in VARIABLES:
-                raise ValueError(f"unknown variable {self.value!r}")
-        elif self.op == "pow":
-            if isinstance(self.value, bool) or not isinstance(self.value, int):
-                raise TypeError("pow exponent must be a literal integer")
-        elif self.value is not None:
-            raise ValueError(f"{self.op!r} carries no payload")
+    def __new__(cls, op: str, args: tuple = (), value: Union[float, str, int, None] = None):
+        try:
+            if op == "const" and isinstance(value, (int, float)) and not isinstance(value, bool):
+                value = float(value)
+                key = (op, _DOUBLE.pack(value), *map(id, args))
+            else:
+                key = (op, type(value), value, *map(id, args))
+            node = _NODES.get(key)
+        except TypeError:  # children not iterable or payload unhashable
+            _check_node(op, args, value)
+            raise
+        if node is None:
+            _check_node(op, args, value)
+            node = object.__new__(cls)
+            _set(node, "op", op)
+            _set(node, "args", tuple(args))
+            _set(node, "value", value)
+            _set(node, "_diff", None)
+            _set(node, "_simplified", None)
+            _set(node, "_free", None)
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Expr nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Expr nodes are immutable")
+
+    def __reduce__(self):
+        return (Expr, (self.op, self.args, self.value))
+
+    def __repr__(self):
+        return f"Expr(op={self.op!r}, args={self.args!r}, value={self.value!r})"
 
     def __add__(self, other):
         return Expr("add", (self, as_expr(other)))
@@ -173,104 +220,251 @@ def cosh(e) -> Expr:
     return Expr("cosh", (as_expr(e),))
 
 
-@lru_cache(maxsize=None)
 def free_vars(e: Expr) -> frozenset:
-    if e.op == "var":
-        return frozenset((e.value,))
-    out = frozenset()
-    for child in e.args:
-        out |= free_vars(child)
+    out = e._free
+    if out is None:
+        if e.op == "var":
+            out = frozenset((e.value,))
+        else:
+            out = frozenset().union(*map(free_vars, e.args))
+        _set(e, "_free", out)
     return out
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
+# Arrays longer than this are evaluated in slices of this many points, so
+# that every temporary stays in cache and the allocator recycles it.
+CHUNK = 4096
+
+
+def _load(env, _, name):
+    try:
+        return env[name]
+    except KeyError:
+        raise EvalDomainError("var", f"unbound variable {name!r}") from None
+
+
+def _div(num, den, _):
+    if np.any(den == 0.0):
+        raise EvalDomainError("div", "division by zero")
+    return num / den
+
+
+def _pow(base, _, n):
+    if n < 0 and np.any(base == 0.0):
+        raise EvalDomainError("pow", "zero base with negative exponent")
+    try:
+        return base ** n
+    except OverflowError:
+        raise EvalDomainError("pow", "overflow") from None
+
+
+def _unary(fn):
+    return lambda u, _, __: fn(u)
+
+
+def _guarded(op, fn, outside, detail):
+    def kernel(u, _, __):
+        if np.any(outside(u)):
+            raise EvalDomainError(op, detail)
+        return fn(u)
+    return kernel
+
+
+def _beyond_overflow(u):
+    return np.abs(u) > _OVERFLOW_ARG
+
+
+# kernel(first operand, second operand, payload) per op; a unary kernel
+# ignores its second operand, and "var" reads its first operand, the env
+_KERNELS = {
+    "var": _load,
+    "add": lambda u, v, _: u + v,
+    "sub": lambda u, v, _: u - v,
+    "mul": lambda u, v, _: u * v,
+    "div": _div,
+    "pow": _pow,
+    "neg": lambda u, _, __: -u,
+    "sin": _unary(np.sin),
+    "cos": _unary(np.cos),
+    "tan": _unary(np.tan),
+    "exp": _guarded("exp", np.exp, lambda u: u > _OVERFLOW_ARG, "overflow"),
+    "ln": _guarded("ln", np.log, lambda u: u <= 0.0, "argument not positive"),
+    "sqrt": _guarded("sqrt", np.sqrt, lambda u: u < 0.0, "negative argument"),
+    "sinh": _guarded("sinh", np.sinh, _beyond_overflow, "overflow"),
+    "cosh": _guarded("cosh", np.cosh, _beyond_overflow, "overflow"),
+}
+
+
+class Program:
+    """Straight-line evaluation of several expressions sharing subexpressions.
+
+    Compiling walks the roots post-order, in root order, and gives each
+    distinct node one instruction; a register is reused once its value has
+    had its last use. A run checks every domain condition and, after each
+    root's instructions, that root is finite, so it raises the error that
+    evaluating the roots one after another over the whole arrays raises.
+    """
+
+    __slots__ = ("_template", "_sections")
+
+    def __init__(self, roots):
+        roots = tuple(roots)
+        position = {}
+        last = {}
+        ends = []
+        for root in roots:
+            if root not in position:
+                stack = [(root, iter(root.args))]
+                while stack:
+                    node, children = stack[-1]
+                    for child in children:
+                        if child not in position:
+                            stack.append((child, iter(child.args)))
+                            break
+                    else:
+                        stack.pop()
+                        t = position[node] = len(position)
+                        for child in node.args:
+                            last[child] = t
+            ends.append(len(position))
+        for root, end in zip(roots, ends):
+            last[root] = max(last.get(root, -1), end - 1)
+        dying = {}
+        for node, t in last.items():
+            if node.op != "const":
+                dying.setdefault(t, []).append(node)
+        # register 0 holds the environment; constants keep their registers
+        template = [None]
+        register = {}
+        free = []
+        code = []
+        emitted = []
+        for t, node in enumerate(position):
+            if node.op == "const":
+                register[node] = len(template)
+                template.append(node.value)
+            else:
+                dest = free.pop() if free else len(template)
+                if dest == len(template):
+                    template.append(None)
+                args = node.args
+                # a leaf (var) reads register 0, the environment
+                a = register[args[0]] if args else 0
+                b = register[args[-1]] if args else 0
+                code.append((_KERNELS[node.op], dest, a, b, node.value))
+                register[node] = dest
+            emitted.append(len(code))
+            for dead in dying.get(t, ()):
+                free.append(register[dead])
+        # each root's section: its instructions, then where its value sits
+        sections = []
+        start = 0
+        for root, end in zip(roots, ends):
+            stop = emitted[end - 1]
+            sections.append((tuple(code[start:stop]), register[root], root))
+            start = stop
+        self._template = template
+        self._sections = tuple(sections)
+
+    def _run(self, env) -> list:
+        regs = self._template.copy()
+        regs[0] = env
+        values = []
+        with np.errstate(all="ignore"):
+            for code, reg, root in self._sections:
+                for kernel, dest, a, b, payload in code:
+                    regs[dest] = kernel(regs[a], regs[b], payload)
+                value = regs[reg]
+                if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                        else math.isfinite(value)):
+                    raise EvalDomainError(root.op, "non-finite result")
+                values.append(value)
+        return values
+
+    def __call__(self, env: Mapping[str, Number]) -> tuple:
+        """Each root's value on floats or numpy arrays; raises EvalDomainError."""
+        names = tuple(env)
+        return chunked(lambda *values: self._run(dict(zip(names, values))), *env.values())
+
+    def sample(self, env: Mapping[str, np.ndarray], like: np.ndarray) -> tuple:
+        """Each root over arrays, constants broadcast to the shape of ``like``."""
+        names = tuple(env)
+
+        def run(like, *values):
+            return [v if isinstance(v, np.ndarray) and v.shape == like.shape
+                    else _filled(like, float(v))
+                    for v in self._run(dict(zip(names, values)))]
+
+        return chunked(run, like, *env.values())
+
+
+def _filled(like: np.ndarray, value: float) -> np.ndarray:
+    # np.full_like(like, value), without its Python-level overhead
+    out = np.empty_like(like)
+    out.fill(value)
+    return out
+
+
+def chunked(fn, *args) -> tuple:
+    """fn(*args) for a fn that acts point by point, CHUNK points at a time.
+
+    When the array arguments are all 1-D of one length above CHUNK, fn runs
+    on aligned slices of them (other arguments pass unchanged) and each of
+    its results is either an array, assembled from the slices, or a scalar.
+    If a slice raises EvalDomainError, fn runs once over the whole arrays,
+    so the error raised is the one a single pass raises.
+    """
+    shapes = {a.shape for a in args if isinstance(a, np.ndarray)}
+    if len(shapes) != 1:
+        return tuple(fn(*args))
+    (shape,) = shapes
+    if len(shape) != 1 or shape[0] <= CHUNK:
+        return tuple(fn(*args))
+    n = shape[0]
+    out = None
+    try:
+        for start in range(0, n, CHUNK):
+            stop = start + CHUNK
+            values = fn(*(a[start:stop] if isinstance(a, np.ndarray) else a for a in args))
+            if out is None:
+                out = [np.empty(n, v.dtype) if isinstance(v, np.ndarray) else v
+                       for v in values]
+            for whole, value in zip(out, values):
+                if isinstance(whole, np.ndarray):
+                    whole[start:stop] = value
+    except EvalDomainError:
+        return tuple(fn(*args))
+    return tuple(out)
+
 
 def evaluate(e: Expr, env: Mapping[str, Number]) -> Number:
     """Evaluate on floats or numpy arrays; raises EvalDomainError off-domain."""
-    with np.errstate(all="ignore"):
-        out = _evaluate(e, env)
-    if not np.all(np.isfinite(out)):
-        raise EvalDomainError(e.op, "non-finite result")
-    return out
+    return Program((e,))(env)[0]
 
 
 def eval_at(e: Expr, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> float:
     return float(evaluate(e, {"x": x, "y": y, "z": z}))
 
 
-def _evaluate(e: Expr, env: Mapping[str, Number]) -> Number:
-    op = e.op
-    if op == "const":
-        return e.value
-    if op == "var":
-        try:
-            return env[e.value]
-        except KeyError:
-            raise EvalDomainError("var", f"unbound variable {e.value!r}") from None
-    if op == "add":
-        return _evaluate(e.args[0], env) + _evaluate(e.args[1], env)
-    if op == "sub":
-        return _evaluate(e.args[0], env) - _evaluate(e.args[1], env)
-    if op == "mul":
-        return _evaluate(e.args[0], env) * _evaluate(e.args[1], env)
-    if op == "div":
-        num = _evaluate(e.args[0], env)
-        den = _evaluate(e.args[1], env)
-        if np.any(den == 0.0):
-            raise EvalDomainError("div", "division by zero")
-        return num / den
-    if op == "pow":
-        base = _evaluate(e.args[0], env)
-        if e.value < 0 and np.any(base == 0.0):
-            raise EvalDomainError("pow", "zero base with negative exponent")
-        try:
-            return base ** e.value
-        except OverflowError:
-            raise EvalDomainError("pow", "overflow") from None
-    u = _evaluate(e.args[0], env)
-    if op == "neg":
-        return -u
-    if op == "sin":
-        return np.sin(u)
-    if op == "cos":
-        return np.cos(u)
-    if op == "tan":
-        return np.tan(u)
-    if op == "exp":
-        if np.any(u > _OVERFLOW_ARG):
-            raise EvalDomainError("exp", "overflow")
-        return np.exp(u)
-    if op == "ln":
-        if np.any(u <= 0.0):
-            raise EvalDomainError("ln", "argument not positive")
-        return np.log(u)
-    if op == "sqrt":
-        if np.any(u < 0.0):
-            raise EvalDomainError("sqrt", "negative argument")
-        return np.sqrt(u)
-    if op == "sinh":
-        if np.any(np.abs(u) > _OVERFLOW_ARG):
-            raise EvalDomainError("sinh", "overflow")
-        return np.sinh(u)
-    if op == "cosh":
-        if np.any(np.abs(u) > _OVERFLOW_ARG):
-            raise EvalDomainError("cosh", "overflow")
-        return np.cosh(u)
-    raise AssertionError(op)
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 
 
-@lru_cache(maxsize=None)
 def diff(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to one of x, y, z."""
     if name not in VARIABLES:
         raise ValueError(f"unknown variable {name!r}")
-    return simplify(_diff(e, name))
+    memo = e._diff
+    if memo is None:
+        memo = {}
+        _set(e, "_diff", memo)
+    out = memo.get(name)
+    if out is None:
+        out = memo[name] = simplify(_diff(e, name))
+    return out
 
 
 def _diff(e: Expr, name: str) -> Expr:
@@ -334,16 +528,23 @@ def _diff(e: Expr, name: str) -> Expr:
 # simplification
 
 
-@lru_cache(maxsize=None)
 def simplify(e: Expr) -> Expr:
     """Constant folding plus 0/1 identities; value-preserving off singularities."""
-    if e.op in ("const", "var"):
+    out = e._simplified
+    if out is True:
         return e
-    node = Expr(e.op, tuple(simplify(c) for c in e.args), e.value)
-    folded = _fold(node)
-    if folded is not None:
-        return folded
-    return _identities(node)
+    if out is None:
+        if e.op in ("const", "var"):
+            out = e
+        else:
+            node = Expr(e.op, tuple(simplify(c) for c in e.args), e.value)
+            out = _fold(node)
+            if out is None:
+                out = _identities(node)
+        # True marks a node that is its own simplified form: a memo pointing
+        # at its own node would leave it to the cycle collector
+        _set(e, "_simplified", True if out is e else out)
+    return out
 
 
 def _is_const(e: Expr, value=None) -> bool:
@@ -353,11 +554,15 @@ def _is_const(e: Expr, value=None) -> bool:
 def _fold(node: Expr):
     if not node.args or not all(c.op == "const" for c in node.args):
         return None
+    first, second = node.args[0].value, node.args[-1].value
     try:
-        out = float(evaluate(node, {}))
-    except (EvalDomainError, OverflowError):
+        with np.errstate(all="ignore"):
+            out = _KERNELS[node.op](first, second, node.value)
+    except EvalDomainError:
         return None
-    return const(out)
+    if not np.isfinite(out):
+        return None
+    return const(float(out))
 
 
 def _identities(node: Expr) -> Expr:

@@ -153,13 +153,18 @@ def _is_polynomial(e: Expr) -> bool:
     return walk(e)
 
 
+def _is_zero(e: Expr) -> bool:
+    # by value: interned nodes keep const(-0.0) apart from ZERO
+    return e.op == "const" and e.value == 0.0
+
+
 def _poly_coefficients(e: Expr) -> Optional[list]:
     """Power-basis coefficients via repeated exact differentiation at x = 0."""
     coefficients = []
     current = simplify(e)
     factorial = 1.0
     for k in range(_MAX_POLY_TERMS):
-        if current == ZERO:
+        if _is_zero(current):
             return coefficients
         coefficients.append(float(evaluate(current, {"x": 0.0})) / factorial)
         current = diff(current, "x")
@@ -276,7 +281,7 @@ def _anti_product(poly: Expr, oscillator: Expr) -> Optional[Expr]:
         else:
             result = Expr("add" if positive else "sub", (result, term))
         current = diff(current, "x")
-        if current == ZERO:
+        if _is_zero(current):
             return simplify(result)
         positive = not positive
     return None

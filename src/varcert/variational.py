@@ -10,6 +10,7 @@ that recenters a problem on an arbitrary twice-differentiable path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
@@ -18,6 +19,8 @@ from .calculus import Grid
 from .expr import (
     ZERO,
     Expr,
+    Program,
+    chunked,
     diff,
     evaluate,
     free_vars,
@@ -34,10 +37,7 @@ class LegendreError(ValueError):
 
 def sample_expr(e: Expr, env: Mapping[str, np.ndarray], like: np.ndarray) -> np.ndarray:
     """Evaluate over arrays and broadcast constants to the reference shape."""
-    out = evaluate(e, env)
-    if isinstance(out, np.ndarray) and out.shape == like.shape:
-        return out
-    return np.full_like(like, float(out))
+    return Program((e,)).sample(env, like)[0]
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,21 @@ class Integrand:
     def f_yzz(self) -> Expr:
         return diff(self.f_yz, "z")
 
+    @cached_property
+    def value_program(self) -> Program:
+        """f itself, for functional values."""
+        return Program((self.f,))
+
+    @cached_property
+    def residual_program(self) -> Program:
+        """The partials of the Euler-Lagrange residual: f_y, f_xz, f_yz, f_zz."""
+        return Program((self.f_y, self.f_xz, self.f_yz, self.f_zz))
+
+    @cached_property
+    def profile_program(self) -> Program:
+        """The partials of p and q: f_zz, f_yy, f_xyz, f_yyz, f_yzz."""
+        return Program((self.f_zz, self.f_yy, self.f_xyz, self.f_yyz, self.f_yzz))
+
 
 @dataclass(frozen=True)
 class Extremal:
@@ -134,15 +149,15 @@ class Extremal:
             float(evaluate(self.y0, {"x": self.b})),
         )
 
+    @cached_property
+    def program(self) -> Program:
+        """The path and its first two derivatives."""
+        return Program((self.y0, self.y0p, self.y0pp))
+
     def sample(self, xs) -> tuple:
         """Values of (y0, y0', y0'') at the given abscissae."""
         xs = np.asarray(xs, dtype=float)
-        env = {"x": xs}
-        return (
-            sample_expr(self.y0, env, xs),
-            sample_expr(self.y0p, env, xs),
-            sample_expr(self.y0pp, env, xs),
-        )
+        return self.program.sample({"x": xs}, xs)
 
     def grid(self, n: int = 512) -> Grid:
         return Grid(self.a, self.b, n)
@@ -170,17 +185,13 @@ def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
     The total derivative d/dx f_yz is expanded by the exact chain rule
     (f_xyz + f_yyz y0' + f_yzz y0''), never by numerical differentiation.
     """
-    xs = np.asarray(xs, dtype=float)
+    return chunked(partial(_coefficients, f, y0), np.asarray(xs, dtype=float))
+
+
+def _coefficients(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
     yv, ypv, yppv = y0.sample(xs)
-    env = {"x": xs, "y": yv, "z": ypv}
-    p = sample_expr(f.f_zz, env, xs)
-    q = (
-        sample_expr(f.f_yy, env, xs)
-        - sample_expr(f.f_xyz, env, xs)
-        - sample_expr(f.f_yyz, env, xs) * ypv
-        - sample_expr(f.f_yzz, env, xs) * yppv
-    )
-    return p, q
+    p, f_yy, f_xyz, f_yyz, f_yzz = f.profile_program.sample({"x": xs, "y": yv, "z": ypv}, xs)
+    return p, f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
 
 
 def legendre_profile(f: Integrand, y0: Extremal, grid: Grid) -> LegendreProfile:
@@ -192,15 +203,13 @@ def legendre_profile(f: Integrand, y0: Extremal, grid: Grid) -> LegendreProfile:
 
 def el_residual_at(f: Integrand, y0: Extremal, xs) -> np.ndarray:
     """Euler-Lagrange residual f_y - (f_xz + f_yz y0' + f_zz y0'') at abscissae."""
-    xs = np.asarray(xs, dtype=float)
+    return chunked(partial(_residual, f, y0), np.asarray(xs, dtype=float))[0]
+
+
+def _residual(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
     yv, ypv, yppv = y0.sample(xs)
-    env = {"x": xs, "y": yv, "z": ypv}
-    return (
-        sample_expr(f.f_y, env, xs)
-        - sample_expr(f.f_xz, env, xs)
-        - sample_expr(f.f_yz, env, xs) * ypv
-        - sample_expr(f.f_zz, env, xs) * yppv
-    )
+    f_y, f_xz, f_yz, f_zz = f.residual_program.sample({"x": xs, "y": yv, "z": ypv}, xs)
+    return (f_y - f_xz - f_yz * ypv - f_zz * yppv,)
 
 
 def el_residual(f: Integrand, y0: Extremal, grid: Grid) -> np.ndarray:

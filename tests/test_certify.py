@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from varcert import (
     Certificate,
+    EvalDomainError,
     Extremal,
     Grid,
     Integrand,
@@ -29,6 +30,7 @@ from varcert import (
     quad_coefficient,
 )
 from varcert.calculus import SampledPath
+from varcert.expr import CHUNK
 
 PI_SQ = math.pi * math.pi
 
@@ -177,6 +179,19 @@ def test_certify_rejects_non_extremal():
                    Grid(0.0, 1.0, 64))
     assert cert.verdict.kind is VerdictKind.EL_FAILED
     assert cert.quad_coefficient is None
+
+
+def test_domain_error_is_the_whole_array_error_across_chunks():
+    # ln(0.9-x) fails only in the last chunks, sqrt(x-0.01) only in the
+    # first; a whole-array pass meets ln first, a chunk-by-chunk one sqrt
+    f = Integrand.from_text("z^2+ln(0.9-x)*y^2+sqrt(x-0.01)*y^2")
+    y0 = Extremal.zero(0.0, 1.0)
+    grid = Grid(0.0, 1.0, 65536)
+    with pytest.raises(EvalDomainError, match="sqrt"):
+        certify(f, Extremal.zero(0.0, 0.0625), Grid(0.0, 0.0625, CHUNK // 2))
+    with pytest.raises(EvalDomainError) as err:
+        certify(f, y0, grid)
+    assert str(err.value) == "domain error in 'ln': argument not positive"
 
 
 def test_functional_value_dirichlet():

@@ -1,10 +1,14 @@
-"""Expression core: construction, parsing, differentiation, simplification."""
+"""Expression core: construction, interning, parsing, differentiation, simplification, evaluation."""
 
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, assume, settings
+from hypothesis import example, given, assume, settings
 import hypothesis.strategies as st
 
 from varcert import (
@@ -22,7 +26,80 @@ from varcert import (
     unparse,
     var,
 )
-from varcert.expr import ONE, X, Y, Z, ZERO
+from varcert.expr import CHUNK, ONE, Program, X, Y, Z, ZERO
+
+
+# ---------------------------------------------------------------------------
+# reference evaluator: the recursive tree walk the compiled programs replace
+
+
+def _reference_evaluate(e, env):
+    with np.errstate(all="ignore"):
+        out = _walk(e, env)
+    if not np.all(np.isfinite(out)):
+        raise EvalDomainError(e.op, "non-finite result")
+    return out
+
+
+def _walk(e, env):
+    op = e.op
+    if op == "const":
+        return e.value
+    if op == "var":
+        try:
+            return env[e.value]
+        except KeyError:
+            raise EvalDomainError("var", f"unbound variable {e.value!r}") from None
+    if op == "add":
+        return _walk(e.args[0], env) + _walk(e.args[1], env)
+    if op == "sub":
+        return _walk(e.args[0], env) - _walk(e.args[1], env)
+    if op == "mul":
+        return _walk(e.args[0], env) * _walk(e.args[1], env)
+    if op == "div":
+        num = _walk(e.args[0], env)
+        den = _walk(e.args[1], env)
+        if np.any(den == 0.0):
+            raise EvalDomainError("div", "division by zero")
+        return num / den
+    if op == "pow":
+        base = _walk(e.args[0], env)
+        if e.value < 0 and np.any(base == 0.0):
+            raise EvalDomainError("pow", "zero base with negative exponent")
+        try:
+            return base ** e.value
+        except OverflowError:
+            raise EvalDomainError("pow", "overflow") from None
+    u = _walk(e.args[0], env)
+    if op == "neg":
+        return -u
+    if op == "sin":
+        return np.sin(u)
+    if op == "cos":
+        return np.cos(u)
+    if op == "tan":
+        return np.tan(u)
+    if op == "exp":
+        if np.any(u > 700.0):
+            raise EvalDomainError("exp", "overflow")
+        return np.exp(u)
+    if op == "ln":
+        if np.any(u <= 0.0):
+            raise EvalDomainError("ln", "argument not positive")
+        return np.log(u)
+    if op == "sqrt":
+        if np.any(u < 0.0):
+            raise EvalDomainError("sqrt", "negative argument")
+        return np.sqrt(u)
+    if op == "sinh":
+        if np.any(np.abs(u) > 700.0):
+            raise EvalDomainError("sinh", "overflow")
+        return np.sinh(u)
+    if op == "cosh":
+        if np.any(np.abs(u) > 700.0):
+            raise EvalDomainError("cosh", "overflow")
+        return np.cosh(u)
+    raise AssertionError(op)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +128,68 @@ def test_arity_validation():
         Expr("add", (X,))
     with pytest.raises(ValueError):
         Expr("sin", (X, Y))
+
+
+@pytest.mark.parametrize("op, args, value, error, message", [
+    ("foo", (X,), None, ValueError, "unknown operator 'foo'"),
+    ("add", (X,), None, ValueError, "'add' expects 2 children, got 1"),
+    ("const", (X,), 1.0, ValueError, "'const' expects 0 children, got 1"),
+    ("add", (X, 1.0), None, TypeError, "children must be Expr nodes"),
+    ("const", (), "2", TypeError, "const payload must be a real number"),
+    ("const", (), True, TypeError, "const payload must be a real number"),
+    ("var", (), "t", ValueError, "unknown variable 't'"),
+    ("var", (), ["x"], ValueError, "unknown variable ['x']"),
+    ("pow", (X,), 2.0, TypeError, "pow exponent must be a literal integer"),
+    ("pow", (X,), True, TypeError, "pow exponent must be a literal integer"),
+    ("add", (X, Y), 3, ValueError, "'add' carries no payload"),
+])
+def test_malformed_nodes_raise(op, args, value, error, message):
+    pinned = (X ** 2, X ** 1)  # live nodes that 2.0 or True must not be taken for
+    with pytest.raises(error) as err:
+        Expr(op, args, value)
+    assert str(err.value) == message
+    del pinned
+
+
+# ---------------------------------------------------------------------------
+# interning
+
+
+def test_equal_nodes_are_one_node():
+    text = "sin(x)*y^2+0.5*z^2"
+    assert parse(text) is parse(text)
+    assert Expr("const", (), 2) is const(2.0)
+    assert Expr("add", [X, Y]) is X + Y
+
+
+def test_signed_zero_constants_stay_distinct():
+    assert const(0.0) is not const(-0.0)
+    assert const(-0.0) is const(-0.0)
+    assert unparse(parse("-0.0")) == "-0.0"
+    assert unparse(-const(0.0)) == "-(0.0)"
+
+
+def test_nodes_are_immutable():
+    with pytest.raises(AttributeError):
+        X.value = "y"
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    e = parse("sin(x)*y^-2+0.25")
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_dropped_integrand_is_collected_with_its_memos():
+    from varcert import Extremal, Grid, Integrand, certify
+
+    f = Integrand.from_text("z^2+0.123456789*sin(x)*y^2+exp(0.5*x)*y*z")
+    y0 = Extremal.from_text("0.2468*x^2", 0.0, 0.5)
+    certify(f, y0, Grid(0.0, 0.5, 2 * CHUNK))
+    refs = [weakref.ref(node) for node in (f.f, f.f_yy, y0.y0, y0.y0p, y0.y0pp)]
+    del f, y0
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_operator_sugar_builds_expected_trees():
@@ -253,6 +392,78 @@ def test_evaluate_domain_errors():
     for text, env in cases:
         with pytest.raises(EvalDomainError):
             evaluate(parse(text), env)
+
+
+_eval_leaves = st.one_of(
+    st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: const(round(v, 3))),
+    st.sampled_from([X, Y, Z]),
+)
+
+
+def _eval_combine(children):
+    binary = st.tuples(st.sampled_from(["add", "sub", "mul", "div"]),
+                       children, children).map(lambda t: Expr(t[0], (t[1], t[2])))
+    unary = st.tuples(st.sampled_from(["neg", "sin", "cos", "tan", "exp", "ln", "sqrt",
+                                       "sinh", "cosh"]),
+                      children).map(lambda t: Expr(t[0], (t[1],)))
+    power = st.tuples(children, st.integers(min_value=-3, max_value=4)).map(
+        lambda t: Expr("pow", (t[0],), t[1]))
+    return st.one_of(binary, unary, power)
+
+
+_eval_trees = st.recursive(_eval_leaves, _eval_combine, max_leaves=12)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_eval_trees, st.integers(0, 2 ** 32 - 1))
+@example(parse("sqrt(y)+ln(x)"), 0)
+@example(parse("exp(z)*y^-1+x"), 1)
+def test_compiled_evaluator_matches_reference_bitwise(e, seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1):
+        # x rises through zero and y falls through it, so domain failures
+        # begin in early chunks for one and in late chunks for the other
+        env = {"x": np.linspace(-1.0, 3.0, n), "y": np.linspace(3.0, -1.0, n),
+               "z": rng.normal(0.0, 30.0, n)}
+        try:
+            want = _reference_evaluate(e, env)
+        except EvalDomainError as expected:
+            with pytest.raises(EvalDomainError) as err:
+                evaluate(e, env)
+            assert str(err.value) == str(expected)
+            continue
+        got = evaluate(e, env)
+        assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_eval_trees, min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
+def test_program_matches_reference_root_by_root(roots, seed):
+    # shared subexpressions, reused registers and repeated roots must not
+    # change any root's value, nor which root's error is raised first
+    rng = np.random.default_rng(seed)
+    roots = roots + [roots[0], *roots[0].args]
+    for n in (7, 2 * CHUNK + 3):
+        env = {"x": np.linspace(-1.0, 3.0, n), "y": np.linspace(3.0, -1.0, n),
+               "z": rng.normal(0.0, 30.0, n)}
+        try:
+            want = [_reference_evaluate(root, env) for root in roots]
+        except EvalDomainError as expected:
+            with pytest.raises(EvalDomainError) as err:
+                Program(roots)(env)
+            assert str(err.value) == str(expected)
+            continue
+        got = Program(roots)(env)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(_bits(g), _bits(w))
 
 
 def test_evaluate_unbound_variable():

@@ -46,6 +46,20 @@ def test_no_unused_imports(path):
     assert sorted(_imported_names(tree) - _used_names(tree)) == []
 
 
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unbounded_caches(path):
+    # memoisation lives on objects that own it, never in process-global caches
+    tree = ast.parse((PACKAGE / path).read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            used.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            used.add(node.attr)
+    assert sorted(used & {"cache", "lru_cache"}) == []
+
+
 def test_init_imports_match_all():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert _imported_names(tree) == set(varcert.__all__) - {"__version__"}
