@@ -6,7 +6,9 @@ minimum when the interval is shorter than (pi/4) sqrt(p_min / |q_min|).
 Minimum verdicts come with an explicit coefficient c > 0 such that the
 functional gap dominates c times the squared Sobolev distance in a small
 enough C1 neighborhood; empirical_verify probes that bound with concrete
-perturbations.
+perturbations: sine modes, and clamped cubic splines whose node slopes come
+from the tridiagonal system of de Boor's *A Practical Guide to Splines*,
+solved by Gaussian elimination with partial pivoting (LAPACK dgtsv).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .calculus import Grid, SampledPath, h1_norm_sq, integrate
 from .variational import (
@@ -218,9 +219,56 @@ class PerturbationFamily:
         values = rng.uniform(-1.0, 1.0, self.knots + 2)
         values[0] = 0.0
         values[-1] = 0.0
-        spline = CubicSpline(knots, values, bc_type="clamped")
-        xs = grid.nodes
-        return (f"spline-{i}", _normalized(grid, spline(xs), spline(xs, 1)))
+        return (f"spline-{i}", _normalized(grid, *_clamped_spline(knots, values, grid.nodes)))
+
+
+def _clamped_spline(knots: np.ndarray, values: np.ndarray, xs: np.ndarray) -> tuple:
+    """Value and first derivative at xs of the clamped cubic spline.
+
+    The spline interpolates (knots, values) with zero end slopes. Its node
+    slopes solve the tridiagonal system of C. de Boor, *A Practical Guide to
+    Splines* (1978), ch. IV, by LAPACK dgtsv's elimination with partial
+    pivoting, and its Hermite pieces are summed from low to high power. Each
+    operation and its order are those of the usual clamped CubicSpline and
+    its piecewise-polynomial evaluation, so the results equal its bits.
+    """
+    dx = np.diff(knots)
+    slope = np.diff(values) / dx
+    m = len(knots)
+    # rows 0 and m-1 pin the end slopes; row i couples slopes i-1, i, i+1
+    dl = [*dx[1:].tolist(), 0.0]
+    d = [1.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 1.0]
+    du = [0.0, *dx[:-1].tolist()]
+    b = [0.0, *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(), 0.0]
+    for i in range(m - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            # swap rows i and i+1; dl[i] then holds the second superdiagonal
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < m - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    s = [0.0] * m
+    s[-1] = b[-1] / d[-1]
+    s[-2] = (b[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(m - 3, -1, -1):
+        s[i] = (b[i] - du[i] * s[i + 1] - dl[i] * s[i + 2]) / d[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c3, c2, c1 = t / dx, (slope - s[:-1]) / dx - t, s[:-1]
+    cell = np.clip(np.searchsorted(knots, xs, side="right") - 1, 0, m - 2)
+    h = xs - knots[cell]
+    h2 = h * h
+    c3, c2, c1 = c3[cell], c2[cell], c1[cell]
+    value = values[cell] + c1 * h + c2 * h2 + c3 * (h2 * h)
+    derivative = c1 + c2 * h * 2.0 + c3 * h2 * 3.0
+    return value, derivative
 
 
 def _snapped_knots(grid: Grid, interior: int) -> np.ndarray:

@@ -411,23 +411,25 @@ def _filled(like: np.ndarray, value: float) -> np.ndarray:
 def chunked(fn, *args) -> tuple:
     """fn(*args) for a fn that acts point by point, CHUNK points at a time.
 
-    When the array arguments are all 1-D of one length above CHUNK, fn runs
-    on aligned slices of them (other arguments pass unchanged) and each of
-    its results is either an array, assembled from the slices, or a scalar.
-    If a slice raises EvalDomainError, fn runs once over the whole arrays,
-    so the error raised is the one a single pass raises.
+    When the array arguments are all 1-D of one length of at least 2 CHUNK,
+    fn runs on aligned slices of them (other arguments pass unchanged) and
+    each of its results is either an array, assembled from the slices, or a
+    scalar. The last slice also takes the remainder of fewer than CHUNK
+    points, so no slice is shorter than CHUNK. If a slice raises
+    EvalDomainError, fn runs once over the whole arrays, so the error raised
+    is the one a single pass raises.
     """
     shapes = {a.shape for a in args if isinstance(a, np.ndarray)}
     if len(shapes) != 1:
         return tuple(fn(*args))
     (shape,) = shapes
-    if len(shape) != 1 or shape[0] <= CHUNK:
+    if len(shape) != 1 or shape[0] < 2 * CHUNK:
         return tuple(fn(*args))
     n = shape[0]
     out = None
     try:
-        for start in range(0, n, CHUNK):
-            stop = start + CHUNK
+        for start in range(0, n - CHUNK + 1, CHUNK):
+            stop = start + CHUNK if n - start >= 2 * CHUNK else n
             values = fn(*(a[start:stop] if isinstance(a, np.ndarray) else a for a in args))
             if out is None:
                 out = [np.empty(n, v.dtype) if isinstance(v, np.ndarray) else v

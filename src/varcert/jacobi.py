@@ -97,20 +97,24 @@ def first_conjugate_point(sol: AccessorySolution) -> Optional[float]:
     xs = sol.grid.nodes
     U = sol.U
     Up = sol.Up
-    n = sol.grid.n
     if U[1] < 0.0:
         cell = _hermite(xs[0], xs[1], U[0], Up[0], U[1], Up[1])
         lo = xs[0] + 1e-3 * sol.grid.h
         if cell(lo) <= 0.0:
             return float(lo)
         return float(_bisect(cell, lo, xs[1]))
-    for i in range(1, n + 1):
-        if U[i] == 0.0:
-            return float(xs[i])
-        if i < n and U[i + 1] != 0.0 and (U[i] > 0.0) != (U[i + 1] > 0.0):
-            cell = _hermite(xs[i], xs[i + 1], U[i], Up[i], U[i + 1], Up[i + 1])
-            return float(_bisect(cell, xs[i], xs[i + 1]))
-    return None
+    # first node i >= 1 that is a zero of U or starts a cell over which U
+    # changes sign; a zero at i wins over a sign change from i
+    hits = U[1:] == 0.0
+    hits[:-1] |= (U[2:] != 0.0) & ((U[1:-1] > 0.0) != (U[2:] > 0.0))
+    first = int(np.argmax(hits))
+    if not hits[first]:
+        return None
+    i = first + 1
+    if U[i] == 0.0:
+        return float(xs[i])
+    cell = _hermite(xs[i], xs[i + 1], U[i], Up[i], U[i + 1], Up[i + 1])
+    return float(_bisect(cell, xs[i], xs[i + 1]))
 
 
 def _hermite(x0: float, x1: float, u0: float, up0: float,

@@ -1,5 +1,7 @@
 """Verdict logic, quadratic coefficients, empirical probing."""
 
+import importlib
+import json
 import math
 
 import numpy as np
@@ -30,6 +32,8 @@ from varcert import (
     quad_coefficient,
 )
 from varcert.calculus import SampledPath
+from varcert.certify import _clamped_spline, _snapped_knots
+from varcert.cli import main
 from varcert.expr import CHUNK
 
 PI_SQ = math.pi * math.pi
@@ -247,6 +251,83 @@ def test_spline_family_on_coarse_grid_does_not_crash():
     grid = Grid(0.0, 1.0, 8)
     paths = PerturbationFamily(RANDOM_SPLINE, count=2, knots=8).paths(grid)
     assert len(paths) == 2
+
+
+def _scipy_clamped_spline(knots, values, xs):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    spline = interpolate.CubicSpline(knots, values, bc_type="clamped")
+    return spline(xs), spline(xs, 1)
+
+
+def _spline_data(n, b, knots, seed):
+    grid = Grid(0.0, b, n)
+    values = np.random.default_rng((seed, n, knots)).uniform(-1.0, 1.0, knots + 2)
+    values[0] = values[-1] = 0.0
+    return _snapped_knots(grid, knots), values, grid.nodes
+
+
+@pytest.mark.parametrize("knots", (2, 8, 30))
+@pytest.mark.parametrize("b", (0.6, 4.0, 40.0))
+@pytest.mark.parametrize("n", (2, 4, 512, 65536))
+def test_clamped_spline_equals_scipy_bitwise(n, b, knots):
+    # knot spacings above 1 (b = 4 and 40) take dgtsv's row-swap branch
+    abscissae, values, xs = _spline_data(n, b, knots, 0)
+    want_y, want_yp = _scipy_clamped_spline(abscissae, values, xs)
+    y, yp = _clamped_spline(abscissae, values, xs)
+    # compared as bit patterns, so the signs of zeros must agree too
+    assert np.array_equal(y.view(np.int64), want_y.view(np.int64))
+    assert np.array_equal(yp.view(np.int64), want_yp.view(np.int64))
+
+
+@pytest.mark.parametrize("knots", (2, 8, 30))
+@pytest.mark.parametrize("b", (0.6, 4.0, 40.0))
+def test_clamped_spline_interpolates_with_zero_end_slopes(b, knots):
+    abscissae, values, _ = _spline_data(4096, b, knots, 1)
+    y, yp = _clamped_spline(abscissae, values, abscissae)
+    assert np.allclose(y, values, rtol=0.0, atol=1e-14)
+    # zero up to the rounding of the slope solve and of the last piece
+    scale = np.max(np.abs(np.diff(values) / np.diff(abscissae)))
+    assert abs(yp[0]) <= 1e-14 * scale and abs(yp[-1]) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("knots", (2, 8, 30))
+@pytest.mark.parametrize("b", (0.6, 4.0, 40.0))
+def test_clamped_spline_is_c1_at_interior_knots(b, knots):
+    # each interior knot is the end of one Hermite piece and the start of
+    # the next; both pieces must agree there in value and slope
+    abscissae, values, _ = _spline_data(4096, b, knots, 2)
+    inner = abscissae[1:-1]
+    left = np.nextafter(inner, -np.inf)
+    y_left, yp_left = _clamped_spline(abscissae, values, left)
+    y_at, yp_at = _clamped_spline(abscissae, values, inner)
+    scale = 1.0 + np.max(np.abs(yp_at))
+    assert np.allclose(y_left, y_at, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(yp_left, yp_at, rtol=0.0, atol=1e-9 * scale)
+
+
+def test_verify_on_the_corpus_prints_what_the_scipy_spline_prints(
+        tmp_path, capsys, monkeypatch):
+    pytest.importorskip("scipy.interpolate")
+    assert main(["generate", "--corpus", "0", "100"]) == 0
+    problems = json.loads(capsys.readouterr().out)["problems"]
+    paths = []
+    for problem in problems:
+        path = tmp_path / f"problem-{problem['index']}.json"
+        path.write_text(json.dumps({key: problem[key]
+                                    for key in ("integrand", "interval", "extremal")}))
+        paths.append(str(path))
+
+    def outputs():
+        printed = []
+        for path in paths:
+            code = main(["verify", path])
+            printed.append((code, capsys.readouterr().out))
+        return printed
+
+    ours = outputs()
+    module = importlib.import_module("varcert.certify")
+    monkeypatch.setattr(module, "_clamped_spline", _scipy_clamped_spline)
+    assert ours == outputs()
 
 
 # ---------------------------------------------------------------------------

@@ -351,3 +351,11 @@ def test_package_import_does_not_load_the_cli():
     result = _fresh_python("-c", "import sys, varcert; print('varcert.cli' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_python_dash_m_varcert_matches_main(tmp_path, capsys):
+    path = _problem(tmp_path, interval={"a": 0.0, "b": 4.0})
+    code, out, _ = _run(capsys, ["certify", path])
+    result = _fresh_python("-m", "varcert", "certify", path)
+    assert code == EXIT_INCONCLUSIVE
+    assert (result.returncode, result.stdout) == (code, out)

@@ -26,7 +26,7 @@ from varcert import (
     unparse,
     var,
 )
-from varcert.expr import CHUNK, ONE, Program, X, Y, Z, ZERO
+from varcert.expr import CHUNK, ONE, Program, X, Y, Z, ZERO, chunked
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,7 @@ def _bits(value):
 @example(parse("exp(z)*y^-1+x"), 1)
 def test_compiled_evaluator_matches_reference_bitwise(e, seed):
     rng = np.random.default_rng(seed)
-    for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1):
+    for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK + 1):
         # x rises through zero and y falls through it, so domain failures
         # begin in early chunks for one and in late chunks for the other
         env = {"x": np.linspace(-1.0, 3.0, n), "y": np.linspace(3.0, -1.0, n),
@@ -440,6 +440,27 @@ def test_compiled_evaluator_matches_reference_bitwise(e, seed):
         assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (CHUNK + 1, [CHUNK + 1]),
+    (2 * CHUNK - 1, [2 * CHUNK - 1]),
+    (2 * CHUNK, [CHUNK, CHUNK]),
+    (2 * CHUNK + 1, [CHUNK, CHUNK + 1]),
+    (16 * CHUNK + 1, [CHUNK] * 15 + [CHUNK + 1]),
+])
+def test_chunked_folds_the_remainder_into_the_last_slice(n, sizes):
+    seen = []
+
+    def fn(a):
+        seen.append(len(a))
+        return [2.0 * a, 1.0]
+
+    xs = np.arange(n, dtype=float)
+    doubled, scalar = chunked(fn, xs)
+    assert seen == sizes
+    assert np.array_equal(doubled, 2.0 * xs)
+    assert scalar == 1.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from varcert import (
+    AccessorySolution,
     Extremal,
     Grid,
     Integrand,
@@ -14,6 +15,7 @@ from varcert import (
     first_conjugate_point,
     solve_accessory,
 )
+from varcert.jacobi import _bisect, _hermite
 
 
 def _solve(f_text, a, b, n=256, y0_text="0"):
@@ -63,6 +65,55 @@ def test_no_conjugate_point_before_first_zero():
     sol = _solve("z^2-y^2", 0.0, 3.0)
     assert sol.conjugate_point is None
     assert first_conjugate_point(sol) is None
+
+
+def _first_conjugate_point_loop(sol):
+    # the per-node scan the vectorised one replaced, kept as its oracle
+    xs, U, Up, n = sol.grid.nodes, sol.U, sol.Up, sol.grid.n
+    if U[1] < 0.0:
+        cell = _hermite(xs[0], xs[1], U[0], Up[0], U[1], Up[1])
+        lo = xs[0] + 1e-3 * sol.grid.h
+        if cell(lo) <= 0.0:
+            return float(lo)
+        return float(_bisect(cell, lo, xs[1]))
+    for i in range(1, n + 1):
+        if U[i] == 0.0:
+            return float(xs[i])
+        if i < n and U[i + 1] != 0.0 and (U[i] > 0.0) != (U[i + 1] > 0.0):
+            cell = _hermite(xs[i], xs[i + 1], U[i], Up[i], U[i + 1], Up[i + 1])
+            return float(_bisect(cell, xs[i], xs[i + 1]))
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_node_scan_matches_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 4, 8, 64]))
+    grid = Grid(0.0, 1.0, n)
+    U = rng.choice([-1.0, 1.0], n + 1) * rng.uniform(0.5, 2.0, n + 1)
+    U[rng.random(n + 1) < 0.1] = rng.choice([0.0, -0.0])
+    U[0] = 0.0
+    if seed % 4 == 0:
+        U[1:] = np.abs(U[1:])  # zeros only, or no root at all
+    elif seed % 4 == 1:
+        U[1] = -abs(U[1]) or -1.0  # sign change inside the first cell
+    V = rng.uniform(-2.0, 2.0, n + 1)
+    sol = AccessorySolution(grid, U, V, np.ones(n + 1), None)
+    assert first_conjugate_point(sol) == _first_conjugate_point_loop(sol)
+
+
+@pytest.mark.parametrize("U, expected_node", [
+    ([0.0, 1.0, 0.0, -1.0, -2.0], 2),   # zero at a node before the change
+    ([0.0, 1.0, 0.0, 1.0, 2.0], 2),     # a touching zero: the node, not its cell
+    ([0.0, 1.0, 2.0, -0.0, -1.0], 3),   # a negative zero is a zero
+    ([0.0, 1.0, 2.0, 3.0, 4.0], None),  # no root
+])
+def test_node_scan_exact_zeros(U, expected_node):
+    grid = Grid(0.0, 1.0, 4)
+    U = np.array(U)
+    sol = AccessorySolution(grid, U, np.ones(5), np.ones(5), None)
+    expected = None if expected_node is None else float(grid.nodes[expected_node])
+    assert first_conjugate_point(sol) == expected == _first_conjugate_point_loop(sol)
 
 
 def test_variable_coefficient_scaling():

@@ -1,13 +1,20 @@
-"""Package surface: no unused imports, exports match imports, no stale names."""
+"""Package surface: no unused imports, exports match imports, no stale names,
+and third-party imports match the declared dependencies."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import varcert
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "varcert"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "varcert"
 
 REMOVED = (
     "QuadraticDecomposition",
@@ -72,3 +79,45 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in varcert.__all__, name
         assert not hasattr(varcert, name), name
+
+
+def _declared_dependencies() -> set:
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)^\]", text, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", item).group(0).lower()
+            for item in re.findall(r'"([^"]+)"', block)}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "varcert"}
+    assert third_party == _declared_dependencies()
+
+
+def test_cli_commands_do_not_import_scipy(tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"integrand": "z^2-y^2",
+                                   "interval": {"a": 0.0, "b": 0.5}}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"P": "exp(x^2)*y", "pfun": "2+sin(x)"}))
+    commands = [["certify", str(problem)], ["compare", str(problem)],
+                ["verify", str(problem)], ["generate", str(spec)],
+                ["generate", "--corpus", "0", "3"]]
+    code = ("import sys\n"
+            "from varcert.cli import main\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            "print(codes, file=sys.stderr)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+            " file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
