@@ -275,9 +275,8 @@ def cmd_compare(args) -> int:
         "conjugate_point": comparison.conjugate_point,
     }
     if args.plot_data:
-        profile = legendre_profile(f, y0, grid)
-        _write_plot_data(args.plot_data, grid, profile.p_of_x, profile.q_of_x,
-                         comparison.solution.U)
+        solution = comparison.solution
+        _write_plot_data(args.plot_data, grid, solution.p_of_x, solution.q_of_x, solution.U)
     _emit(report)
     return EXIT_OK
 

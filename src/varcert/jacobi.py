@@ -4,6 +4,12 @@ Integrates the first-order system U' = V / p(x), V' = q(x) U with
 U(a) = 0, V(a) = p(a) (so U'(a) = 1) by classic fourth-order Runge-Kutta,
 then locates the first zero of U in (a, b]. Used to cross-validate the
 length criterion and to measure how conservative it is.
+
+The system is linear, so each RK4 step is a 2x2 matrix M_i of p and q at
+x_i, the cell midpoint and x_{i+1}. All n step matrices are built at once
+and composed into the prefix products M_i ... M_0 by a Hillis-Steele scan
+(W. D. Hillis and G. L. Steele, "Data parallel algorithms", CACM 1986):
+ceil(log2 n) levels of elementwise 2x2 products, carried as M - I.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .variational import (
     LegendreError,
     coefficient_samples,
     ensure_same_interval,
-    legendre_profile,
 )
 
 X_TOL = 1e-9
@@ -34,12 +39,14 @@ class AccessoryIntegrationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class AccessorySolution:
-    """U and V = p U' at the grid nodes, plus the first conjugate point if any."""
+    """U and V = p U' at the grid nodes, the node samples of p and q, and
+    the first conjugate point if any."""
 
     grid: Grid
     U: np.ndarray
     V: np.ndarray
     p_of_x: np.ndarray
+    q_of_x: np.ndarray
     conjugate_point: Optional[float]
 
     @property
@@ -51,39 +58,61 @@ def solve_accessory(f: Integrand, y0: Extremal, grid: Grid) -> AccessorySolution
     """March the (U, V) system across the grid; p and q are sampled once.
 
     Working in V = p U' avoids differentiating p(x) when f depends on x.
+    p <= 0 at a node is reported before the midpoints are sampled.
     """
     ensure_same_interval(y0, grid)
     p_nodes, q_nodes = coefficient_samples(f, y0, grid.nodes)
+    if p_nodes.min() <= 0.0:
+        raise LegendreError("comparison requires a strictly positive leading coefficient")
     p_mids, q_mids = coefficient_samples(f, y0, grid.midpoints)
-    if min(p_nodes.min(), p_mids.min()) <= 0.0:
+    if p_mids.min() <= 0.0:
         raise LegendreError("accessory equation requires f_zz > 0 along the path")
-    n = grid.n
-    h = grid.h
-    U = np.empty(n + 1)
-    V = np.empty(n + 1)
-    u = 0.0
-    v = float(p_nodes[0])
-    U[0] = u
-    V[0] = v
-    for i in range(n):
-        p_mid = p_mids[i]
-        q_mid = q_mids[i]
-        k1u = v / p_nodes[i]
-        k1v = q_nodes[i] * u
-        k2u = (v + 0.5 * h * k1v) / p_mid
-        k2v = q_mid * (u + 0.5 * h * k1u)
-        k3u = (v + 0.5 * h * k2v) / p_mid
-        k3v = q_mid * (u + 0.5 * h * k2u)
-        k4u = (v + h * k3v) / p_nodes[i + 1]
-        k4v = q_nodes[i + 1] * (u + h * k3u)
-        u += h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        U[i + 1] = u
-        V[i + 1] = v
+    # an overflowing march ends in AccessoryIntegrationError, not in warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, V = _march(grid.h, p_nodes, q_nodes, p_mids, q_mids)
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise AccessoryIntegrationError("accessory integration produced non-finite values")
-    solution = AccessorySolution(grid, U, V, p_nodes, None)
+    solution = AccessorySolution(grid, U, V, p_nodes, q_nodes, None)
     return replace(solution, conjugate_point=first_conjugate_point(solution))
+
+
+def _march(h: float, p_nodes: np.ndarray, q_nodes: np.ndarray,
+           p_mids: np.ndarray, q_mids: np.ndarray) -> tuple:
+    """U and V at every node from U(a) = 0, V(a) = p(a)."""
+    p0, p1, q0, q1 = p_nodes[:-1], p_nodes[1:], q_nodes[:-1], q_nodes[1:]
+
+    def increment(u, v):
+        # the change of (u, v) over one RK4 step of U' = V / p, V' = q U
+        k1u = v / p0
+        k1v = q0 * u
+        k2u = (v + 0.5 * h * k1v) / p_mids
+        k2v = q_mids * (u + 0.5 * h * k1u)
+        k3u = (v + 0.5 * h * k2v) / p_mids
+        k3v = q_mids * (u + 0.5 * h * k2u)
+        k4u = (v + h * k3v) / p1
+        k4v = q1 * (u + h * k3u)
+        return (h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+                h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+    # M_i = I + [[a, b], [c, d]], column by column from the basis states. The
+    # scan carries M - I: entries stored next to 1 would lose the O(h) part of
+    # every step to rounding, an error that grows like n eps
+    a, c = increment(1.0, 0.0)
+    b, d = increment(0.0, 1.0)
+    # after the level with stride k, entry i holds M_i ... M_max(0, i-2k+1);
+    # (I + X)(I + Y) = I + X + Y + XY with X the later block
+    k = 1
+    while k < len(a):
+        a[k:], b[k:], c[k:], d[k:] = (
+            a[k:] + a[:-k] + (a[k:] * a[:-k] + b[k:] * c[:-k]),
+            b[k:] + b[:-k] + (a[k:] * b[:-k] + b[k:] * d[:-k]),
+            c[k:] + c[:-k] + (c[k:] * a[:-k] + d[k:] * c[:-k]),
+            d[k:] + d[:-k] + (c[k:] * b[:-k] + d[k:] * d[:-k]),
+        )
+        k *= 2
+    # the initial state (0, p(a)) picks the second column
+    p_a = p_nodes[0]
+    return np.concatenate(([0.0], b * p_a)), np.concatenate(([p_a], p_a + d * p_a))
 
 
 def first_conjugate_point(sol: AccessorySolution) -> Optional[float]:
@@ -171,11 +200,11 @@ class CriteriaComparison:
 
 
 def compare_criteria(f: Integrand, y0: Extremal, grid: Grid) -> CriteriaComparison:
-    profile = legendre_profile(f, y0, grid)
-    if profile.p_min <= 0.0:
-        raise LegendreError("comparison requires a strictly positive leading coefficient")
+    """p_min and q_min are the minima of the accessory solution's node samples."""
     solution = solve_accessory(f, y0, grid)
-    bound = length_bound(profile.p_min, profile.q_min)
+    p_min = float(solution.p_of_x.min())
+    q_min = float(solution.q_of_x.min())
+    bound = length_bound(p_min, q_min)
     length_new = math.inf if bound is None else bound
     conjugate = solution.conjugate_point
     length_jacobi = math.inf if conjugate is None else conjugate - grid.a
@@ -183,8 +212,8 @@ def compare_criteria(f: Integrand, y0: Extremal, grid: Grid) -> CriteriaComparis
     if math.isfinite(length_new) and math.isfinite(length_jacobi):
         ratio = length_jacobi / length_new
     return CriteriaComparison(
-        p_min=profile.p_min,
-        q_min=profile.q_min,
+        p_min=p_min,
+        q_min=q_min,
         length_new=length_new,
         length_jacobi=length_jacobi,
         ratio=ratio,

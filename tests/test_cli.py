@@ -203,8 +203,11 @@ def test_plot_data_columns(tmp_path, capsys):
     assert float(first[3]) == pytest.approx(0.0)  # U(a)
     # certify leaves the accessory column blank
     _run(capsys, ["certify", path, "--grid-n", "64", "--plot-data", str(csv_path)])
-    lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[1].endswith(",")
+    certify_lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
+    assert certify_lines[1].endswith(",")
+    # compare's x,p,q come from its accessory solution, bit for bit the profile's
+    assert ([line.rsplit(",", 1)[0] for line in lines]
+            == [line.rsplit(",", 1)[0] for line in certify_lines])
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +348,15 @@ def test_module_entry_runs_without_runpy_warning():
     assert result.returncode == 0
     assert result.stderr == ""
     assert "certify" in result.stdout
+
+
+def test_compare_overflow_is_one_error_line(tmp_path):
+    path = _problem(tmp_path, integrand="0.5*z^2+1e6*y^2", interval={"a": 0, "b": 10},
+                    extremal="0")
+    result = _fresh_python("-m", "varcert", "compare", path)
+    assert result.returncode == EXIT_ERROR
+    assert result.stderr == "error: accessory integration produced non-finite values\n"
+    assert result.stdout == ""
 
 
 def test_package_import_does_not_load_the_cli():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from varcert import (
+    AccessoryIntegrationError,
     AccessorySolution,
     Extremal,
     Grid,
@@ -15,7 +16,9 @@ from varcert import (
     first_conjugate_point,
     solve_accessory,
 )
-from varcert.jacobi import _bisect, _hermite
+from varcert import jacobi, variational
+from varcert.jacobi import X_TOL, _bisect, _hermite
+from varcert.variational import coefficient_samples
 
 
 def _solve(f_text, a, b, n=256, y0_text="0"):
@@ -98,7 +101,7 @@ def test_node_scan_matches_the_loop(seed):
     elif seed % 4 == 1:
         U[1] = -abs(U[1]) or -1.0  # sign change inside the first cell
     V = rng.uniform(-2.0, 2.0, n + 1)
-    sol = AccessorySolution(grid, U, V, np.ones(n + 1), None)
+    sol = AccessorySolution(grid, U, V, np.ones(n + 1), np.ones(n + 1), None)
     assert first_conjugate_point(sol) == _first_conjugate_point_loop(sol)
 
 
@@ -111,9 +114,74 @@ def test_node_scan_matches_the_loop(seed):
 def test_node_scan_exact_zeros(U, expected_node):
     grid = Grid(0.0, 1.0, 4)
     U = np.array(U)
-    sol = AccessorySolution(grid, U, np.ones(5), np.ones(5), None)
+    sol = AccessorySolution(grid, U, np.ones(5), np.ones(5), np.ones(5), None)
     expected = None if expected_node is None else float(grid.nodes[expected_node])
     assert first_conjugate_point(sol) == expected == _first_conjugate_point_loop(sol)
+
+
+def _accessory_loop(f, y0, grid):
+    # the per-step RK4 loop the prefix-product march replaced, kept as its oracle
+    p_nodes, q_nodes = coefficient_samples(f, y0, grid.nodes)
+    p_mids, q_mids = coefficient_samples(f, y0, grid.midpoints)
+    n = grid.n
+    h = grid.h
+    U = np.empty(n + 1)
+    V = np.empty(n + 1)
+    u = 0.0
+    v = float(p_nodes[0])
+    U[0] = u
+    V[0] = v
+    for i in range(n):
+        p_mid = p_mids[i]
+        q_mid = q_mids[i]
+        k1u = v / p_nodes[i]
+        k1v = q_nodes[i] * u
+        k2u = (v + 0.5 * h * k1v) / p_mid
+        k2v = q_mid * (u + 0.5 * h * k1u)
+        k3u = (v + 0.5 * h * k2v) / p_mid
+        k3v = q_mid * (u + 0.5 * h * k2u)
+        k4u = (v + h * k3v) / p_nodes[i + 1]
+        k4v = q_nodes[i + 1] * (u + h * k3u)
+        u += h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        U[i + 1] = u
+        V[i + 1] = v
+    return AccessorySolution(grid, U, V, p_nodes, q_nodes, None)
+
+
+_MARCH_CASES = {
+    "oscillating": ("z^2-25*y^2", "0", 0.0, 2.0),            # q < 0, conjugate points
+    "growing": ("0.5*z^2+8*y^2", "0", 0.0, 2.0),             # q > 0, U ~ sinh(4x)
+    "x-dependent-p": ("0.5*(1+x^2)*z^2-(2+sin(3*x))*y^2", "0", 0.0, 3.0),
+    "nonzero-path": ("(1+0.5*y^2)*z^2-y^2+x*y*z", "sin(x)", 0.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 510, 512, 65536])
+@pytest.mark.parametrize("case", sorted(_MARCH_CASES))
+def test_march_matches_the_loop(case, n):
+    f_text, y0_text, a, b = _MARCH_CASES[case]
+    f = Integrand.from_text(f_text)
+    y0 = Extremal.from_text(y0_text, a, b)
+    grid = Grid(a, b, n)
+    sol = solve_accessory(f, y0, grid)
+    ref = _accessory_loop(f, y0, grid)
+    # the scan groups the same products differently: agreement to rounding
+    assert np.max(np.abs(sol.U - ref.U)) <= 1e-11 * np.max(np.abs(ref.U))
+    assert np.max(np.abs(sol.V - ref.V)) <= 1e-11 * np.max(np.abs(ref.V))
+    assert sol.U[0] == ref.U[0] and sol.V[0] == ref.V[0]
+    assert np.array_equal(sol.p_of_x, ref.p_of_x) and np.array_equal(sol.q_of_x, ref.q_of_x)
+    expected = first_conjugate_point(ref)
+    if expected is None:
+        assert sol.conjugate_point is None
+    else:
+        assert abs(sol.conjugate_point - expected) <= X_TOL
+
+
+def test_overflow_raises_without_warnings():
+    # q = 2e6: U grows like exp(1414 x) and overflows long before b = 10
+    with pytest.raises(AccessoryIntegrationError):
+        _solve("0.5*z^2+1e6*y^2", 0.0, 10.0, n=512)
 
 
 def test_variable_coefficient_scaling():
@@ -170,9 +238,35 @@ def test_compare_no_conjugate_point_reports_infinite_length():
 
 
 def test_compare_requires_positive_p():
-    with pytest.raises(LegendreError):
+    # p <= 0 at a node is reported before the midpoints are looked at
+    with pytest.raises(LegendreError, match="^comparison requires a strictly positive "
+                                            "leading coefficient$"):
         compare_criteria(Integrand.from_text("-z^2"), Extremal.zero(0.0, 1.0),
                          Grid(0.0, 1.0, 64))
+
+
+def test_compare_samples_p_and_q_once(monkeypatch):
+    calls = []
+
+    def counted(f, y0, xs):
+        calls.append(len(xs))
+        return coefficient_samples(f, y0, xs)
+
+    # legendre_profile samples through the variational module's name
+    monkeypatch.setattr(jacobi, "coefficient_samples", counted)
+    monkeypatch.setattr(variational, "coefficient_samples", counted)
+    grid = Grid(0.0, 4.0, 512)
+    comparison = compare_criteria(Integrand.from_text("z^2-y^2"), Extremal.zero(0.0, 4.0), grid)
+    assert calls == [grid.n + 1, grid.n]  # the nodes, then the midpoints
+    assert (comparison.p_min, comparison.q_min) == (2.0, -2.0)
+
+
+def test_compare_reports_p_at_a_midpoint_only():
+    # p = cos(4 pi x) is 1 at the nodes 0, 1/2, 1 and -1 at both midpoints
+    f = Integrand.from_text(f"0.5*cos({4.0 * math.pi!r}*x)*z^2")
+    with pytest.raises(LegendreError, match="^accessory equation requires f_zz > 0 "
+                                            "along the path$"):
+        compare_criteria(f, Extremal.zero(0.0, 1.0), Grid(0.0, 1.0, 2))
 
 
 def test_compare_conjugate_relative_to_left_endpoint():
