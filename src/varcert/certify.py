@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import Grid, SampledPath, h1_norm_sq, integrate
+from .expr import EvalDomainError, Program
 from .variational import (
     Extremal,
     Integrand,
@@ -158,10 +159,20 @@ def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8) -> Cer
     )
 
 
-def functional_value(f: Integrand, path: SampledPath) -> float:
-    """Simpson value of the integral of f(x, y(x), y'(x)) over the path."""
+def functional_value(f: Integrand, path: SampledPath,
+                     x_values: Optional[tuple] = None) -> float:
+    """Simpson value of the integral of f(x, y(x), y'(x)) over the path.
+
+    ``x_values``, when given, holds the values of ``f.x_parts`` on the
+    path's nodes; they are read, not computed again.
+    """
     xs = path.grid.nodes
-    (values,) = f.value_program.sample({"x": xs, "y": path.y, "z": path.yp}, xs)
+    env = {"x": xs, "y": path.y, "z": path.yp}
+    program = f.value_program
+    if x_values is not None:
+        env.update(zip(f.x_parts, x_values))
+        program = f.x_parts_program
+    (values,) = program.sample(env, xs)
     return integrate(values, path.grid)
 
 
@@ -192,6 +203,8 @@ class PerturbationFamily:
         if self.count < 1:
             raise ValueError("count must be >= 1")
         ladder = tuple(float(t) for t in self.ladder)
+        if not all(map(math.isfinite, ladder)):
+            raise ValueError("ladder entries must be finite")
         if not ladder or any(t <= 0.0 for t in ladder):
             raise ValueError("ladder entries must be positive")
         if any(hi <= lo for hi, lo in zip(ladder, ladder[1:])):
@@ -202,9 +215,13 @@ class PerturbationFamily:
 
     def paths(self, grid: Grid) -> list:
         """Deterministic list of (label, SampledPath) perturbations."""
+        return list(self._directions(grid))
+
+    def _directions(self, grid: Grid):
+        # one at a time, so a caller that walks them holds one in memory
         if self.kind == SINE_BASIS:
-            return [self._sine(k, grid) for k in range(1, self.count + 1)]
-        return [self._spline(i, grid) for i in range(self.count)]
+            return (self._sine(k, grid) for k in range(1, self.count + 1))
+        return (self._spline(i, grid) for i in range(self.count))
 
     def _sine(self, k: int, grid: Grid):
         xs = grid.nodes
@@ -262,12 +279,16 @@ def _clamped_spline(knots: np.ndarray, values: np.ndarray, xs: np.ndarray) -> tu
     s = np.array(s)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c3, c2, c1 = t / dx, (slope - s[:-1]) / dx - t, s[:-1]
-    cell = np.clip(np.searchsorted(knots, xs, side="right") - 1, 0, m - 2)
-    h = xs - knots[cell]
-    h2 = h * h
-    c3, c2, c1 = c3[cell], c2[cell], c1[cell]
-    value = values[cell] + c1 * h + c2 * h2 + c3 * (h2 * h)
-    derivative = c1 + c2 * h * 2.0 + c3 * h2 * 3.0
+    # xs is sorted, so each piece is a slice; the end pieces also take the
+    # points beyond the end knots
+    bounds = [0, *np.searchsorted(xs, knots[1:-1], side="left").tolist(), len(xs)]
+    value = np.empty_like(xs)
+    derivative = np.empty_like(xs)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        h = xs[lo:hi] - knots[i]
+        h2 = h * h
+        value[lo:hi] = values[i] + c1[i] * h + c2[i] * h2 + c3[i] * (h2 * h)
+        derivative[lo:hi] = c1[i] + c2[i] * h * 2.0 + c3[i] * h2 * 3.0
     return value, derivative
 
 
@@ -324,6 +345,11 @@ def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
     gap(y0 + eps eta) >= c * h1_norm_sq(eps eta) - abs_tol and records, per
     direction, the largest rung from which every smaller rung passes.
     Violations are report content, not exceptions.
+
+    Every pass evaluates f on the same nodes, so the parts of f in x alone
+    (``f.x_parts``) are computed once per call and read by each pass. If
+    computing them fails, every pass computes all of f, so the error raised
+    is the one a plain pass raises. Directions are built one at a time.
     """
     if cert.quad_coefficient is None:
         raise ValueError("certificate carries no quadratic coefficient")
@@ -332,18 +358,19 @@ def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
     xs = grid.nodes
     base_y, base_yp, _ = y0.sample(xs)
     base = SampledPath(grid, base_y, base_yp)
-    base_value = functional_value(f, base)
+    x_values = _x_part_values(f, xs)
+    base_value = functional_value(f, base, x_values)
     if abs_tol is None:
         abs_tol = 1e-10 * (1.0 + abs(base_value))
     checks = []
     passed = True
-    for label, eta in fam.paths(grid):
+    for label, eta in fam._directions(grid):
         eta_norm_sq = h1_norm_sq(eta)
         margins = []
         holds = []
         for eps in fam.ladder:
             bumped = SampledPath(grid, base.y + eps * eta.y, base.yp + eps * eta.yp)
-            gap = functional_value(f, bumped) - base_value
+            gap = functional_value(f, bumped, x_values) - base_value
             required = coefficient * eps * eps * eta_norm_sq
             margins.append(gap - required)
             holds.append(gap >= required - abs_tol)
@@ -352,6 +379,16 @@ def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
             passed = False
         checks.append(PerturbationCheck(label, threshold, tuple(margins)))
     return EmpiricalReport(coefficient, abs_tol, base_value, fam.ladder, tuple(checks), passed)
+
+
+def _x_part_values(f: Integrand, xs: np.ndarray) -> Optional[tuple]:
+    """f.x_parts on the nodes xs; None if there are none or one fails there."""
+    if not f.x_parts:
+        return None
+    try:
+        return Program(f.x_parts).sample({"x": xs}, xs)
+    except EvalDomainError:
+        return None
 
 
 def _validated_threshold(ladder: tuple, holds: list) -> Optional[float]:

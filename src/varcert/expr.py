@@ -253,12 +253,38 @@ def _div(num, den, _):
 
 
 def _pow(base, _, n):
+    """base^n for a literal integer n, by repeated multiplication.
+
+    base^|n| is a binary power: the running square is squared only while
+    exponent bits remain, and each set bit multiplies it into the product;
+    a negative n then takes the reciprocal. So n in {-1, 1, 2} gives the
+    bits of numpy's ``**``, other n stay within |n| ulp of it, and every
+    IEEE-754 host gives the same bits, which the vector ``pow`` routines
+    behind ``**`` do not. n = 0 gives 1 for every base. A scalar whose
+    power leaves the float range raises, as Python's float ``**`` does.
+    """
     if n < 0 and np.any(base == 0.0):
         raise EvalDomainError("pow", "zero base with negative exponent")
-    try:
-        return base ** n
-    except OverflowError:
-        raise EvalDomainError("pow", "overflow") from None
+    if n == 0:
+        return base ** 0
+    k = abs(n)
+    square = base
+    power = None
+    while True:
+        if k & 1:
+            power = square if power is None else power * square
+        k >>= 1
+        if not k:
+            break
+        square = square * square
+    scalar = not isinstance(power, np.ndarray)
+    if n < 0:
+        if scalar and power == 0.0:
+            raise EvalDomainError("pow", "overflow")
+        power = 1.0 / power
+    if scalar and math.isinf(power) and not math.isinf(base):
+        raise EvalDomainError("pow", "overflow")
+    return power
 
 
 def _unary(fn):
@@ -306,29 +332,35 @@ class Program:
     had its last use. A run checks every domain condition and, after each
     root's instructions, that root is finite, so it raises the error that
     evaluating the roots one after another over the whole arrays raises.
+
+    The nodes in ``given`` are not computed: like a variable, each is read
+    from the environment, keyed by the node itself.
     """
 
     __slots__ = ("_template", "_sections")
 
-    def __init__(self, roots):
+    def __init__(self, roots, given=()):
         roots = tuple(roots)
+        # a given node is read, so its children are not needed
+        given = frozenset(given)
         position = {}
         last = {}
         ends = []
         for root in roots:
             if root not in position:
-                stack = [(root, iter(root.args))]
+                stack = [(root, iter(() if root in given else root.args))]
                 while stack:
                     node, children = stack[-1]
                     for child in children:
                         if child not in position:
-                            stack.append((child, iter(child.args)))
+                            stack.append((child, iter(() if child in given else child.args)))
                             break
                     else:
                         stack.pop()
                         t = position[node] = len(position)
-                        for child in node.args:
-                            last[child] = t
+                        if node not in given:
+                            for child in node.args:
+                                last[child] = t
             ends.append(len(position))
         for root, end in zip(roots, ends):
             last[root] = max(last.get(root, -1), end - 1)
@@ -350,11 +382,14 @@ class Program:
                 dest = free.pop() if free else len(template)
                 if dest == len(template):
                     template.append(None)
-                args = node.args
-                # a leaf (var) reads register 0, the environment
-                a = register[args[0]] if args else 0
-                b = register[args[-1]] if args else 0
-                code.append((_KERNELS[node.op], dest, a, b, node.value))
+                if node in given:
+                    code.append((_load, dest, 0, 0, node))
+                else:
+                    args = node.args
+                    # a leaf (var) reads register 0, the environment
+                    a = register[args[0]] if args else 0
+                    b = register[args[-1]] if args else 0
+                    code.append((_KERNELS[node.op], dest, a, b, node.value))
                 register[node] = dest
             emitted.append(len(code))
             for dead in dying.get(t, ()):

@@ -96,6 +96,33 @@ class Integrand:
         return Program((self.f,))
 
     @cached_property
+    def x_parts(self) -> tuple:
+        """f's largest subexpressions in x alone, other than leaves.
+
+        They do not change when the path does, so passes along several paths
+        on one grid can compute them once and hand them to
+        ``x_parts_program``.
+        """
+        parts = []
+        seen = set()
+        stack = [self.f]
+        while stack:
+            node = stack.pop()
+            if node in seen or not node.args:
+                continue
+            seen.add(node)
+            if free_vars(node) == {"x"}:
+                parts.append(node)
+            else:
+                stack.extend(reversed(node.args))
+        return tuple(parts)
+
+    @cached_property
+    def x_parts_program(self) -> Program:
+        """f, reading the values of ``x_parts`` from the environment."""
+        return Program((self.f,), given=self.x_parts)
+
+    @cached_property
     def residual_program(self) -> Program:
         """The partials of the Euler-Lagrange residual: f_y, f_xz, f_yz, f_zz."""
         return Program((self.f_y, self.f_xz, self.f_yz, self.f_zz))

@@ -31,6 +31,7 @@ from varcert import (
     length_bound,
     quad_coefficient,
 )
+from varcert import expr
 from varcert.calculus import SampledPath
 from varcert.certify import _clamped_spline, _snapped_knots
 from varcert.cli import main
@@ -226,6 +227,19 @@ def test_family_validation():
         PerturbationFamily(RANDOM_SPLINE, knots=1)
 
 
+@pytest.mark.parametrize("ladder, message", [
+    ((float("nan"),), "ladder entries must be finite"),
+    ((float("inf"), 1e-2), "ladder entries must be finite"),
+    ((1e-2, float("-inf")), "ladder entries must be finite"),
+    ((1e-2, -1e-3), "ladder entries must be positive"),
+    ((1e-3, 1e-2), "ladder must be strictly decreasing"),
+])
+def test_family_ladder_messages(ladder, message):
+    with pytest.raises(ValueError) as err:
+        PerturbationFamily(SINE_BASIS, ladder=ladder)
+    assert str(err.value) == message
+
+
 def test_family_paths_normalized_zero_boundary():
     grid = Grid(0.0, 2.0, 128)
     for fam in (PerturbationFamily(SINE_BASIS, count=5),
@@ -275,6 +289,20 @@ def test_clamped_spline_equals_scipy_bitwise(n, b, knots):
     want_y, want_yp = _scipy_clamped_spline(abscissae, values, xs)
     y, yp = _clamped_spline(abscissae, values, xs)
     # compared as bit patterns, so the signs of zeros must agree too
+    assert np.array_equal(y.view(np.int64), want_y.view(np.int64))
+    assert np.array_equal(yp.view(np.int64), want_yp.view(np.int64))
+
+
+@pytest.mark.parametrize("knots", (2, 8, 30))
+@pytest.mark.parametrize("n", (2, 7, 4096, 65536))
+def test_clamped_spline_beyond_random_knots_equals_scipy_bitwise(n, knots):
+    # the end pieces carry on past the end knots, as scipy's extrapolation does
+    rng = np.random.default_rng((n, knots))
+    abscissae = np.sort(rng.uniform(0.5, 3.5, knots + 2))
+    values = rng.uniform(-1.0, 1.0, knots + 2)
+    xs = np.linspace(0.0, 4.0, n + 1)
+    want_y, want_yp = _scipy_clamped_spline(abscissae, values, xs)
+    y, yp = _clamped_spline(abscissae, values, xs)
     assert np.array_equal(y.view(np.int64), want_y.view(np.int64))
     assert np.array_equal(yp.view(np.int64), want_yp.view(np.int64))
 
@@ -371,6 +399,35 @@ def test_empirical_margin_matches_definition():
            - functional_value(f, SampledPath(grid, base_y, base_yp)))
     want = gap - cert.quad_coefficient * 0.01 * h1_norm_sq(eta)
     assert report.checks[0].margins[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_verify_computes_x_parts_once_per_call(monkeypatch):
+    # sin(x) is the same on every pass, so one pass's chunks compute it and
+    # the base path and 2 x 5 rungs read it; each pass is still one call
+    f = Integrand.from_text("z^2+sin(x)*y^2")
+    y0 = Extremal.zero(0.0, 1.0)
+    grid = Grid(0.0, 1.0, 65536)
+    cert = certify(f, y0, grid)
+    sin = expr._KERNELS["sin"]
+    sines = []
+
+    def counted_sin(u, v, payload):
+        sines.append(len(u))
+        return sin(u, v, payload)
+
+    passes = []
+
+    def counted_value(*args):
+        passes.append(args)
+        return functional_value(*args)
+
+    monkeypatch.setitem(expr._KERNELS, "sin", counted_sin)
+    monkeypatch.setattr(importlib.import_module("varcert.certify"), "functional_value",
+                        counted_value)
+    report = empirical_verify(f, y0, cert, PerturbationFamily(SINE_BASIS, count=2), grid)
+    assert report.passed
+    assert len(passes) == 11
+    assert sines == [CHUNK] * 15 + [CHUNK + 1]
 
 
 def test_empirical_threshold_semantics():

@@ -247,6 +247,14 @@ def test_verify_bad_ladder_exits_one(tmp_path, capsys):
     assert code == EXIT_ERROR and err != ""
 
 
+@pytest.mark.parametrize("ladder", ["nan", "1e-2,inf", "1e-2,-inf"])
+def test_verify_non_finite_ladder_exits_one(tmp_path, capsys, ladder):
+    path = _problem(tmp_path)
+    code, out, err = _run(capsys, ["verify", path, "--ladder", ladder])
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: ladder entries must be finite\n"
+
+
 # ---------------------------------------------------------------------------
 # generate
 

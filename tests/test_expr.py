@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 from varcert import (
     EvalDomainError,
     Expr,
+    Integrand,
     ParseError,
     const,
     diff,
@@ -26,6 +27,7 @@ from varcert import (
     unparse,
     var,
 )
+from varcert.certify import _x_part_values
 from varcert.expr import CHUNK, ONE, Program, X, Y, Z, ZERO, chunked
 
 
@@ -66,10 +68,7 @@ def _walk(e, env):
         base = _walk(e.args[0], env)
         if e.value < 0 and np.any(base == 0.0):
             raise EvalDomainError("pow", "zero base with negative exponent")
-        try:
-            return base ** e.value
-        except OverflowError:
-            raise EvalDomainError("pow", "overflow") from None
+        return _binary_power(base, e.value)
     u = _walk(e.args[0], env)
     if op == "neg":
         return -u
@@ -100,6 +99,27 @@ def _walk(e, env):
             raise EvalDomainError("cosh", "overflow")
         return np.cosh(u)
     raise AssertionError(op)
+
+
+def _binary_power(base, n):
+    # base^|n| from the bits of |n|, lowest first: squares for the bits,
+    # multiplied in where a bit is set; reciprocal for negative n
+    if n == 0:
+        return base ** 0
+    squares = [base]
+    for _ in range(abs(n).bit_length() - 1):
+        squares.append(squares[-1] * squares[-1])
+    power = None
+    for bit, square in enumerate(squares):
+        if abs(n) >> bit & 1:
+            power = square if power is None else power * square
+    if n < 0:
+        if not isinstance(power, np.ndarray) and power == 0.0:
+            raise EvalDomainError("pow", "overflow")
+        power = 1.0 / power
+    if not isinstance(power, np.ndarray) and math.isinf(power) and not math.isinf(base):
+        raise EvalDomainError("pow", "overflow")
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +507,42 @@ def test_program_matches_reference_root_by_root(roots, seed):
             assert np.array_equal(_bits(g), _bits(w))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_eval_trees, st.integers(0, 2 ** 32 - 1))
+@example(parse("sqrt(y)+ln(x-0.3)"), 0)
+@example(parse("ln(x-0.3)+y"), 0)
+@example(parse("sin(x)*y^2+sqrt(y)*exp(x)"), 0)
+def test_precomputed_x_parts_match_the_plain_program(e, seed):
+    # a pass that reads f's x-only parts gives the plain pass's bits, or its
+    # error; when the parts fail (x crosses 0.3 above), passes are plain, so
+    # an earlier error in y still wins
+    f = Integrand(e)
+    rng = np.random.default_rng(seed)
+    for n in (7, 2 * CHUNK + 3):
+        xs = np.linspace(-1.0, 3.0, n)
+        env = {"x": xs, "y": np.linspace(3.0, -1.0, n), "z": rng.normal(0.0, 30.0, n)}
+        x_values = _x_part_values(f, xs)
+        given = {} if x_values is None else dict(zip(f.x_parts, x_values))
+        program = f.x_parts_program if given else f.value_program
+        env_given = {**env, **given}
+        try:
+            (want,) = f.value_program.sample(env, xs)
+        except EvalDomainError as expected:
+            with pytest.raises(EvalDomainError) as err:
+                program.sample(env_given, xs)
+            assert str(err.value) == str(expected)
+            continue
+        (got,) = program.sample(env_given, xs)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_given_nodes_are_read_not_computed():
+    part = parse("sin(x)")
+    program = Program((parse("sin(x)*y"),), given=(part,))
+    (out,) = program({"y": np.array([2.0, 3.0]), part: np.array([10.0, 100.0])})
+    assert np.array_equal(out, [20.0, 300.0])
+
+
 def test_evaluate_unbound_variable():
     with pytest.raises(EvalDomainError):
         evaluate(parse("x+y"), {"x": 1.0})
@@ -494,6 +550,49 @@ def test_evaluate_unbound_variable():
 
 def test_negative_integer_power():
     assert eval_at(parse("x^-2"), 2.0, 0, 0) == pytest.approx(0.25)
+
+
+def _ulps(got, want):
+    # both carry the sign of base^n exactly, so their bit patterns are
+    # ordered alike and the difference counts representable steps
+    return np.abs(_bits(got) - _bits(want))
+
+
+@pytest.mark.parametrize("n", range(-7, 12))
+def test_integer_power_within_n_ulp_of_pow(n):
+    base = np.random.default_rng(n + 100).uniform(-3.0, 3.0, 4096)
+    got = evaluate(Expr("pow", (X,), n), {"x": base})
+    with np.errstate(all="ignore"):
+        want = base ** n
+    assert np.all(_ulps(got, want) <= abs(n))
+
+
+@pytest.mark.parametrize("n", [-1, 1, 2])
+def test_integer_power_keeps_the_bits_of_pow(n):
+    base = np.random.default_rng(n + 200).uniform(-3.0, 3.0, 4096)
+    got = evaluate(Expr("pow", (X,), n), {"x": base})
+    assert np.array_equal(_bits(got), _bits(base ** n))
+    assert eval_at(Expr("pow", (X,), n), -1.7) == (-1.7) ** n
+
+
+@pytest.mark.parametrize("text, x", [("x^3", 1e200), ("x^-3", 1e-110), ("x^4", -1e100)])
+def test_scalar_power_overflow_raises(text, x):
+    with pytest.raises(EvalDomainError) as err:
+        eval_at(parse(text), x)
+    assert str(err.value) == "domain error in 'pow': overflow"
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 0.0])
+def test_zeroth_power_is_one(x):
+    assert eval_at(parse("x^0"), x) == 1.0
+    assert np.array_equal(evaluate(parse("x^0"), {"x": np.array([x, 2.0])}), [1.0, 1.0])
+
+
+def test_zero_base_with_negative_exponent_keeps_its_message():
+    for env in ({"x": 0.0}, {"x": np.array([1.0, 0.0])}):
+        with pytest.raises(EvalDomainError) as err:
+            evaluate(parse("x^-3"), env)
+        assert str(err.value) == "domain error in 'pow': zero base with negative exponent"
 
 
 # ---------------------------------------------------------------------------
