@@ -16,20 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .calculus import Grid, SampledPath, h1_norm_sq, integrate
-from .expr import EvalDomainError, Program
+from .expr import EvalDomainError, Program, chunked
 from .variational import (
     Extremal,
     Integrand,
     LegendreError,
     LegendreProfile,
-    el_residual_max,
+    certify_samples,
     ensure_same_interval,
-    legendre_profile,
 )
 
 
@@ -76,8 +76,12 @@ def classify(profile: LegendreProfile, el_max: float, a: float, b: float,
     """Order of checks: extremality, Legendre, sign of q, interval length.
 
     Inconclusive means the sufficient criterion is silent; it never claims
-    the absence of a minimum.
+    the absence of a minimum. ``el_tol`` must be finite and non-negative:
+    no residual exceeds a nan or infinite tolerance, so the first check
+    would pass every path.
     """
+    if not 0.0 <= el_tol < math.inf:
+        raise ValueError("el_tol must be a finite non-negative number")
     if el_max > el_tol:
         return Verdict(VerdictKind.EL_FAILED, el_max)
     if profile.p_min <= 0.0:
@@ -141,10 +145,17 @@ class Certificate:
 
 
 def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8) -> Certificate:
-    """Full pipeline: residual, Legendre profile, verdict, quadratic coefficient."""
+    """Full pipeline: residual, Legendre profile, verdict, quadratic coefficient.
+
+    The residual, p and q come from one chunked pass of ``certify_samples``
+    over the grid nodes, so the path and f's second partials are evaluated
+    once per chunk. The numbers, and the evaluation error if one is raised,
+    are those of ``el_residual_max`` followed by ``legendre_profile``.
+    """
     ensure_same_interval(y0, grid)
-    el_max = el_residual_max(f, y0, grid)
-    profile = legendre_profile(f, y0, grid)
+    residual, p, q = chunked(partial(certify_samples, f, y0), grid.nodes)
+    el_max = float(np.max(np.abs(residual)))
+    profile = LegendreProfile(grid, p, q, float(p.min()), float(q.min()))
     verdict = classify(profile, el_max, y0.a, y0.b, el_tol)
     coefficient = None
     if verdict.kind in MINIMUM_KINDS:

@@ -149,6 +149,15 @@ def _resolve_grid_n(flag: Optional[int], file_value) -> int:
     return n
 
 
+def _resolve_el_tol(flag: Optional[float], file_value) -> float:
+    tol = flag if flag is not None else file_value
+    # the chained comparison is false for nan and exact for ints of any size
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not 0.0 <= tol <= sys.float_info.max):
+        raise CliInputError("el_tol must be a finite non-negative number")
+    return float(tol)
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -176,10 +185,7 @@ def _load_problem(path: str, grid_flag: Optional[int],
     if not isinstance(integrand, str) or not isinstance(extremal, str):
         raise CliInputError("integrand and extremal must be expression strings")
     grid_n = _resolve_grid_n(grid_flag, raw.get("grid_n"))
-    if el_flag is not None:
-        el_tol = float(el_flag)
-    else:
-        el_tol = float(raw.get("el_tol", _DEFAULT_EL_TOL))
+    el_tol = _resolve_el_tol(el_flag, raw.get("el_tol", _DEFAULT_EL_TOL))
     return ProblemFile(integrand, a, b, extremal, grid_n, el_tol)
 
 

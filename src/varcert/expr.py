@@ -246,8 +246,15 @@ def _load(env, _, name):
         raise EvalDomainError("var", f"unbound variable {name!r}") from None
 
 
+def _has_zero(u) -> bool:
+    # the truth of any(u == 0.0) for float arrays and scalars, without its
+    # temporary boolean array: a float is falsy exactly when it is 0.0 or
+    # -0.0, and nan is truthy
+    return not (u.all() if isinstance(u, np.ndarray) else u)
+
+
 def _div(num, den, _):
-    if np.any(den == 0.0):
+    if _has_zero(den):
         raise EvalDomainError("div", "division by zero")
     return num / den
 
@@ -263,7 +270,7 @@ def _pow(base, _, n):
     behind ``**`` do not. n = 0 gives 1 for every base. A scalar whose
     power leaves the float range raises, as Python's float ``**`` does.
     """
-    if n < 0 and np.any(base == 0.0):
+    if n < 0 and _has_zero(base):
         raise EvalDomainError("pow", "zero base with negative exponent")
     if n == 0:
         return base ** 0
@@ -324,6 +331,15 @@ _KERNELS = {
 }
 
 
+# Programs are shared the way nodes are: compiling the roots of a live
+# program, in the same order and with the same given nodes, returns that
+# program. The table holds programs weakly, so an entry lives as long as some
+# holder of its program; it keys them on the ids of those nodes, and a
+# program keeps every node its key names alive, so no live key's ids can be
+# reused by a new node.
+_PROGRAMS = weakref.WeakValueDictionary()
+
+
 class Program:
     """Straight-line evaluation of several expressions sharing subexpressions.
 
@@ -335,14 +351,28 @@ class Program:
 
     The nodes in ``given`` are not computed: like a variable, each is read
     from the environment, keyed by the node itself.
+
+    ``Program(roots, given)`` returns the live program for the same roots in
+    the same order and the same given set, if there is one, and compiles a
+    new one otherwise.
     """
 
-    __slots__ = ("_template", "_sections")
+    __slots__ = ("_template", "_sections", "_nodes", "__weakref__")
 
-    def __init__(self, roots, given=()):
+    def __new__(cls, roots, given=()):
         roots = tuple(roots)
-        # a given node is read, so its children are not needed
         given = frozenset(given)
+        key = (tuple(map(id, roots)), frozenset(map(id, given)))
+        program = _PROGRAMS.get(key)
+        if program is None:
+            program = object.__new__(cls)
+            program._compile(roots, given)
+            program._nodes = (roots, given)
+            _PROGRAMS[key] = program
+        return program
+
+    def _compile(self, roots: tuple, given: frozenset) -> None:
+        # a given node is read, so its children are not needed
         position = {}
         last = {}
         ends = []

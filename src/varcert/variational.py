@@ -123,13 +123,18 @@ class Integrand:
         return Program((self.f,), given=self.x_parts)
 
     @cached_property
-    def residual_program(self) -> Program:
-        """The partials of the Euler-Lagrange residual: f_y, f_xz, f_yz, f_zz."""
-        return Program((self.f_y, self.f_xz, self.f_yz, self.f_zz))
+    def certify_program(self) -> Program:
+        """The partials of the residual, then the rest of p and q.
+
+        Roots: f_y, f_xz, f_yz, f_zz for the Euler-Lagrange residual, then
+        f_yy, f_xyz, f_yyz, f_yzz; p is f_zz itself.
+        """
+        return Program((self.f_y, self.f_xz, self.f_yz, self.f_zz,
+                        self.f_yy, self.f_xyz, self.f_yyz, self.f_yzz))
 
     @cached_property
     def profile_program(self) -> Program:
-        """The partials of p and q: f_zz, f_yy, f_xyz, f_yyz, f_yzz."""
+        """The partials of p and q alone: f_zz, f_yy, f_xyz, f_yyz, f_yzz."""
         return Program((self.f_zz, self.f_yy, self.f_xyz, self.f_yyz, self.f_yzz))
 
 
@@ -221,22 +226,39 @@ def _coefficients(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
     return p, f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
 
 
+def certify_samples(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
+    """The Euler-Lagrange residual, p and q at abscissae, in one pass.
+
+    The path is sampled once and ``f.certify_program`` runs once. Its
+    residual roots come first, so an evaluation error is the one that the
+    residual followed by p and q, each sampled on its own, would raise.
+    """
+    yv, ypv, yppv = y0.sample(xs)
+    f_y, f_xz, f_yz, f_zz, f_yy, f_xyz, f_yyz, f_yzz = f.certify_program.sample(
+        {"x": xs, "y": yv, "z": ypv}, xs)
+    return (f_y - f_xz - f_yz * ypv - f_zz * yppv,
+            f_zz,
+            f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv)
+
+
 def legendre_profile(f: Integrand, y0: Extremal, grid: Grid) -> LegendreProfile:
-    """Profile with minima taken over the grid nodes."""
+    """Profile with minima taken over the grid nodes.
+
+    p and q come from the pass that ``certify`` makes, so an evaluation
+    error in the residual's partials is raised here too.
+    """
     ensure_same_interval(y0, grid)
-    p, q = coefficient_samples(f, y0, grid.nodes)
+    _, p, q = chunked(partial(certify_samples, f, y0), grid.nodes)
     return LegendreProfile(grid, p, q, float(p.min()), float(q.min()))
 
 
 def el_residual_at(f: Integrand, y0: Extremal, xs) -> np.ndarray:
-    """Euler-Lagrange residual f_y - (f_xz + f_yz y0' + f_zz y0'') at abscissae."""
-    return chunked(partial(_residual, f, y0), np.asarray(xs, dtype=float))[0]
+    """Euler-Lagrange residual f_y - (f_xz + f_yz y0' + f_zz y0'') at abscissae.
 
-
-def _residual(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
-    yv, ypv, yppv = y0.sample(xs)
-    f_y, f_xz, f_yz, f_zz = f.residual_program.sample({"x": xs, "y": yv, "z": ypv}, xs)
-    return (f_y - f_xz - f_yz * ypv - f_zz * yppv,)
+    It comes from the pass that ``certify`` makes, so an evaluation error in
+    the partials of p and q is raised here too.
+    """
+    return chunked(partial(certify_samples, f, y0), np.asarray(xs, dtype=float))[0]
 
 
 def el_residual(f: Integrand, y0: Extremal, grid: Grid) -> np.ndarray:

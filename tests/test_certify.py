@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from varcert import (
@@ -35,7 +35,7 @@ from varcert import expr
 from varcert.calculus import SampledPath
 from varcert.certify import _clamped_spline, _snapped_knots
 from varcert.cli import main
-from varcert.expr import CHUNK
+from varcert.expr import CHUNK, Expr, Program, X, Y, Z, chunked, const, parse
 
 PI_SQ = math.pi * math.pi
 
@@ -136,6 +136,17 @@ def test_classify_stationarity_failure_wins():
     assert verdict.kind is VerdictKind.EL_FAILED
 
 
+@pytest.mark.parametrize("el_tol", [math.nan, math.inf, -math.inf, -1e-8])
+def test_classify_rejects_a_tolerance_no_residual_exceeds(el_tol):
+    # y = x is no extremal of z^2+y^2 (residual 2), yet 2 > nan is false
+    message = "^el_tol must be a finite non-negative number$"
+    with pytest.raises(ValueError, match=message):
+        classify(_profile("z^2+y^2", 0.0, 1.0), 2.0, 0.0, 1.0, el_tol)
+    with pytest.raises(ValueError, match=message):
+        certify(Integrand.from_text("z^2+y^2"), Extremal.from_text("x", 0.0, 1.0),
+                Grid(0.0, 1.0, 64), el_tol=el_tol)
+
+
 def test_verdict_invariant():
     with pytest.raises(ValueError):
         Verdict(VerdictKind.INCONCLUSIVE, 0.0, length_bound=1.0)
@@ -197,6 +208,91 @@ def test_domain_error_is_the_whole_array_error_across_chunks():
     with pytest.raises(EvalDomainError) as err:
         certify(f, y0, grid)
     assert str(err.value) == "domain error in 'ln': argument not positive"
+
+
+def test_certify_runs_two_programs_per_chunk(monkeypatch):
+    # the path and the fused residual/p/q program, once each per chunk
+    f = Integrand.from_text("z^2+sin(x)*y^2+exp(0.5*x)*y*z")
+    y0 = Extremal.from_text("0.25*x^2", 0.0, 1.0)
+    grid = Grid(0.0, 1.0, 65536)
+    run = Program._run
+    runs = []
+
+    def counted(program, env):
+        runs.append(program)
+        return run(program, env)
+
+    monkeypatch.setattr(Program, "_run", counted)
+    certify(f, y0, grid)
+    chunks = (grid.n + 1) // CHUNK
+    assert chunks == 16
+    assert runs == [y0.program, f.certify_program] * chunks
+
+
+def _two_pass(f, y0, grid):
+    # certify's numbers as two whole-grid passes made them: the residual's
+    # partials, then p's and q's, each with the path sampled again
+    path = Program((y0.y0, y0.y0p, y0.y0pp))
+    residual_program = Program((f.f_y, f.f_xz, f.f_yz, f.f_zz))
+    profile_program = Program((f.f_zz, f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz))
+
+    def residual(xs):
+        yv, ypv, yppv = path.sample({"x": xs}, xs)
+        f_y, f_xz, f_yz, f_zz = residual_program.sample({"x": xs, "y": yv, "z": ypv}, xs)
+        return (f_y - f_xz - f_yz * ypv - f_zz * yppv,)
+
+    def profile(xs):
+        yv, ypv, yppv = path.sample({"x": xs}, xs)
+        p, f_yy, f_xyz, f_yyz, f_yzz = profile_program.sample({"x": xs, "y": yv, "z": ypv}, xs)
+        return p, f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
+
+    (r,) = chunked(residual, grid.nodes)
+    p, q = chunked(profile, grid.nodes)
+    return float(np.max(np.abs(r))), float(p.min()), float(q.min())
+
+
+def _fused_combine(children):
+    binary = st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), children,
+                       children).map(lambda t: Expr(t[0], (t[1], t[2])))
+    unary = st.tuples(st.sampled_from(["neg", "sin", "exp", "ln", "sqrt", "cosh"]),
+                      children).map(lambda t: Expr(t[0], (t[1],)))
+    power = st.tuples(children, st.integers(-2, 3)).map(lambda t: Expr("pow", (t[0],), t[1]))
+    return st.one_of(binary, unary, power)
+
+
+_coefficients = st.floats(-2.0, 2.0).map(lambda v: const(round(v, 3)))
+_integrands = st.recursive(st.one_of(_coefficients, st.sampled_from([X, Y, Z])),
+                           _fused_combine, max_leaves=8)
+_paths = st.recursive(st.one_of(_coefficients, st.just(X)), _fused_combine, max_leaves=4)
+
+
+def _float_bits(value):
+    return np.float64(value).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integrands, _paths, st.sampled_from([16, 3 * CHUNK]))
+# only a profile root fails: f_yy = 2e308 overflows, f_y = 2e308*y is 0
+@example(parse("z^2+1e308*y^2"), parse("0"), 3 * CHUNK)
+# a residual root fails in the last chunk (x > 0.9), a profile root in the
+# first (x < 0.1): the whole-grid pass meets the residual's first
+@example(parse("z^2+1e308*(1-x)*y^2+y*ln(0.9-x)"), parse("0"), 3 * CHUNK)
+@example(parse("z^2+1e308*(1-x)*y^2+y*ln(0.9-x)"), parse("0"), 16)
+def test_fused_certify_pass_equals_the_two_pass_sequence(e, path, n):
+    f = Integrand(e)
+    y0 = Extremal(path, 0.0, 1.0)
+    grid = Grid(0.0, 1.0, n)
+    with np.errstate(all="ignore"):
+        try:
+            want = _two_pass(f, y0, grid)
+        except EvalDomainError as expected:
+            with pytest.raises(EvalDomainError) as err:
+                certify(f, y0, grid)
+            assert str(err.value) == str(expected)
+            return
+        cert = certify(f, y0, grid)
+    got = cert.verdict.el_residual_max, cert.p_min, cert.q_min
+    assert list(map(_float_bits, got)) == list(map(_float_bits, want))
 
 
 def test_functional_value_dirichlet():

@@ -107,6 +107,35 @@ def test_el_tol_flag_overrides_file(tmp_path, capsys):
     assert json.loads(out)["problem"]["el_tol"] == pytest.approx(1e-4)
 
 
+def test_el_tol_accepts_integers_and_zero(tmp_path, capsys):
+    path = _problem(tmp_path, el_tol=1)
+    code, out, _ = _run(capsys, ["certify", path])
+    assert code == EXIT_OK
+    assert json.loads(out)["problem"]["el_tol"] == 1.0
+    _, out, _ = _run(capsys, ["certify", path, "--el-tol", "0"])
+    assert json.loads(out)["problem"]["el_tol"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+@pytest.mark.parametrize("flag, field", [
+    ("nan", None), ("inf", None), ("-1e-8", None),
+    (None, "NaN"), (None, "Infinity"), (None, "1e400"), (None, "-1"), (None, "1" + "0" * 400),
+    (None, "true"), (None, '"abc"'), (None, "null"), (None, "[1e-8]"),
+])
+def test_el_tol_must_be_a_finite_non_negative_number(tmp_path, capsys, command, flag, field):
+    # the residual of y = x is 2 here, and no residual exceeds a nan or
+    # infinite tolerance, so such a tolerance would certify a non-extremal
+    text = '{"integrand": "z^2+y^2", "interval": {"a": 0, "b": 1}, "extremal": "x"'
+    if field is not None:
+        text += f', "el_tol": {field}'
+    path = tmp_path / "problem.json"
+    path.write_text(text + "}", encoding="utf-8")
+    argv = [command, str(path)] + ([] if flag is None else [f"--el-tol={flag}"])
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: el_tol must be a finite non-negative number\n"
+
+
 # ---------------------------------------------------------------------------
 # input errors
 

@@ -28,7 +28,7 @@ from varcert import (
     var,
 )
 from varcert.certify import _x_part_values
-from varcert.expr import CHUNK, ONE, Program, X, Y, Z, ZERO, chunked
+from varcert.expr import _PROGRAMS, CHUNK, ONE, Program, X, Y, Z, ZERO, chunked
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +541,54 @@ def test_given_nodes_are_read_not_computed():
     program = Program((parse("sin(x)*y"),), given=(part,))
     (out,) = program({"y": np.array([2.0, 3.0]), part: np.array([10.0, 100.0])})
     assert np.array_equal(out, [20.0, 300.0])
+
+
+# ---------------------------------------------------------------------------
+# the program table
+
+
+def test_interned_roots_share_their_live_program():
+    f = Integrand.from_text("z^2+0.1357913*sin(x)*y^2+exp(0.5*x)*y*z")
+    assert Integrand.from_text(unparse(f.f)).certify_program is f.certify_program
+    roots = [f.f_y, f.f_xz, f.f_yz, f.f_zz, f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz]
+    assert Program(roots) is f.certify_program
+
+
+def test_root_order_and_given_set_key_the_program():
+    roots = (parse("sin(x)*y+0.2468642"), parse("cos(x)*z"))
+    part = parse("sin(x)")
+    program = Program(roots)
+    assert Program(roots[::-1]) is not program
+    assert Program(roots, given=(part,)) is not program
+    with_part = Program(roots, given=(part,))
+    assert Program(roots, given=[part, part]) is with_part
+    assert Program(roots, given=(part, parse("cos(x)"))) is not with_part
+
+
+def test_a_program_keeps_an_unreached_given_node_alive():
+    unreached = parse("cos(x)*0.9876543210123")
+    ref = weakref.ref(unreached)
+    program = Program((parse("y*0.1234567890123"),), given=(unreached,))
+    del unreached
+    gc.collect()
+    assert ref() is not None
+    del program
+    gc.collect()
+    assert ref() is None
+
+
+def test_program_table_shrinks_when_the_holders_die():
+    from varcert import Extremal, Grid, certify
+
+    gc.collect()
+    before = len(_PROGRAMS)
+    f = Integrand.from_text("z^2+0.8642097531*cos(x)*y^2")
+    y0 = Extremal.from_text("0.3579135*x^2", 0.0, 0.5)
+    certify(f, y0, Grid(0.0, 0.5, 64))
+    assert len(_PROGRAMS) == before + 2  # the path and the certify pass
+    del f, y0
+    gc.collect()
+    assert len(_PROGRAMS) == before
 
 
 def test_evaluate_unbound_variable():

@@ -252,7 +252,7 @@ def test_compare_samples_p_and_q_once(monkeypatch):
         calls.append(len(xs))
         return coefficient_samples(f, y0, xs)
 
-    # legendre_profile samples through the variational module's name
+    # every call through either module's name is counted
     monkeypatch.setattr(jacobi, "coefficient_samples", counted)
     monkeypatch.setattr(variational, "coefficient_samples", counted)
     grid = Grid(0.0, 4.0, 512)
