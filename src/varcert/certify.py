@@ -16,18 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .calculus import Grid, SampledPath, h1_norm_sq, integrate
-from .expr import EvalDomainError, Program, chunked
+from .expr import EvalDomainError, Program
 from .variational import (
     Extremal,
     Integrand,
     LegendreError,
-    LegendreProfile,
     certify_samples,
     ensure_same_interval,
 )
@@ -71,7 +69,7 @@ def _within_length(p_min: float, q_min: float, length: float) -> bool:
     return 16.0 * length * length * abs(q_min) < math.pi * math.pi * p_min
 
 
-def classify(profile: LegendreProfile, el_max: float, a: float, b: float,
+def classify(p_min: float, q_min: float, el_max: float, a: float, b: float,
              el_tol: float = 1e-8) -> Verdict:
     """Order of checks: extremality, Legendre, sign of q, interval length.
 
@@ -84,15 +82,15 @@ def classify(profile: LegendreProfile, el_max: float, a: float, b: float,
         raise ValueError("el_tol must be a finite non-negative number")
     if el_max > el_tol:
         return Verdict(VerdictKind.EL_FAILED, el_max)
-    if profile.p_min <= 0.0:
+    if p_min <= 0.0:
         return Verdict(VerdictKind.LEGENDRE_FAILED, el_max)
-    if profile.q_min >= 0.0:
+    if q_min >= 0.0:
         return Verdict(VerdictKind.MINIMUM_UNCONDITIONAL, el_max)
-    if _within_length(profile.p_min, profile.q_min, b - a):
+    if _within_length(p_min, q_min, b - a):
         return Verdict(
             VerdictKind.MINIMUM_UNDER_LENGTH,
             el_max,
-            length_bound(profile.p_min, profile.q_min),
+            length_bound(p_min, q_min),
         )
     return Verdict(VerdictKind.INCONCLUSIVE, el_max)
 
@@ -147,23 +145,22 @@ class Certificate:
 def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8) -> Certificate:
     """Full pipeline: residual, Legendre profile, verdict, quadratic coefficient.
 
-    The residual, p and q come from one chunked pass of ``certify_samples``
-    over the grid nodes, so the path and f's second partials are evaluated
-    once per chunk. The numbers, and the evaluation error if one is raised,
-    are those of ``el_residual_max`` followed by ``legendre_profile``.
+    The residual, p and q come from one pass of ``certify_samples`` over the
+    grid nodes, which evaluates the path and f's partials once per chunk.
     """
     ensure_same_interval(y0, grid)
-    residual, p, q = chunked(partial(certify_samples, f, y0), grid.nodes)
+    residual, p, q = certify_samples(f, y0, grid.nodes)
     el_max = float(np.max(np.abs(residual)))
-    profile = LegendreProfile(grid, p, q, float(p.min()), float(q.min()))
-    verdict = classify(profile, el_max, y0.a, y0.b, el_tol)
+    p_min = float(p.min())
+    q_min = float(q.min())
+    verdict = classify(p_min, q_min, el_max, y0.a, y0.b, el_tol)
     coefficient = None
     if verdict.kind in MINIMUM_KINDS:
-        coefficient = quad_coefficient(profile.p_min, profile.q_min, y0.a, y0.b)
+        coefficient = quad_coefficient(p_min, q_min, y0.a, y0.b)
     return Certificate(
         verdict=verdict,
-        p_min=profile.p_min,
-        q_min=profile.q_min,
+        p_min=p_min,
+        q_min=q_min,
         interval_length=grid.length,
         quad_coefficient=coefficient,
         grid_n=grid.n,
@@ -224,12 +221,12 @@ class PerturbationFamily:
         if self.knots < 2:
             raise ValueError("knots must be >= 2")
 
-    def paths(self, grid: Grid) -> list:
-        """Deterministic list of (label, SampledPath) perturbations."""
-        return list(self._directions(grid))
+    def paths(self, grid: Grid):
+        """The (label, SampledPath) perturbations in a fixed order.
 
-    def _directions(self, grid: Grid):
-        # one at a time, so a caller that walks them holds one in memory
+        A generator: directions are built one at a time, so a caller that
+        walks them holds one in memory.
+        """
         if self.kind == SINE_BASIS:
             return (self._sine(k, grid) for k in range(1, self.count + 1))
         return (self._spline(i, grid) for i in range(self.count))
@@ -375,7 +372,7 @@ def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
         abs_tol = 1e-10 * (1.0 + abs(base_value))
     checks = []
     passed = True
-    for label, eta in fam._directions(grid):
+    for label, eta in fam.paths(grid):
         eta_norm_sq = h1_norm_sq(eta)
         margins = []
         holds = []

@@ -35,7 +35,7 @@ from .certify import (
     empirical_verify,
     length_bound,
 )
-from .expr import EvalDomainError, ParseError, diff, parse, unparse
+from .expr import diff, parse, unparse
 from .generator import (
     GeneratorError,
     GeneratorSpec,
@@ -43,7 +43,7 @@ from .generator import (
     sample_corpus,
 )
 from .jacobi import AccessoryIntegrationError, compare_criteria
-from .variational import Extremal, Integrand, LegendreError, legendre_profile
+from .variational import Extremal, Integrand, LegendreError, certify_samples
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -257,8 +257,8 @@ def cmd_certify(args) -> int:
     if args.sobolev:
         report["k_extremum_note"] = _SOBOLEV_NOTE
     if args.plot_data:
-        profile = legendre_profile(f, y0, grid)
-        _write_plot_data(args.plot_data, grid, profile.p_of_x, profile.q_of_x)
+        _, p, q = certify_samples(f, y0, grid.nodes)
+        _write_plot_data(args.plot_data, grid, p, q)
     _emit(report)
     return _exit_for(cert.verdict.kind)
 
@@ -518,11 +518,10 @@ def main(argv=None) -> int:
     except LegendreError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (CliInputError, ParseError, EvalDomainError, GeneratorError,
-            AccessoryIntegrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, OverflowError, MemoryError,
+            GeneratorError, AccessoryIntegrationError) as exc:
+        # CliInputError, ParseError and EvalDomainError are ValueErrors;
+        # OverflowError comes from a JSON integer too large for a float
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:

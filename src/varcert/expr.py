@@ -300,14 +300,26 @@ def _unary(fn):
 
 def _guarded(op, fn, outside, detail):
     def kernel(u, _, __):
-        if np.any(outside(u)):
+        if outside(u):
             raise EvalDomainError(op, detail)
         return fn(u)
     return kernel
 
 
+# The least and greatest of u, skipping nan, so a guard on them raises for
+# the same u as np.any over an elementwise comparison: a nan fails every
+# comparison and is left to the finiteness check. They also take Python
+# floats, and an empty array, which passes every guard.
+def _lowest(u):
+    return np.fmin.reduce(u, initial=math.inf)
+
+
+def _highest(u):
+    return np.fmax.reduce(u, initial=-math.inf)
+
+
 def _beyond_overflow(u):
-    return np.abs(u) > _OVERFLOW_ARG
+    return _highest(u) > _OVERFLOW_ARG or _lowest(u) < -_OVERFLOW_ARG
 
 
 # kernel(first operand, second operand, payload) per op; a unary kernel
@@ -323,9 +335,9 @@ _KERNELS = {
     "sin": _unary(np.sin),
     "cos": _unary(np.cos),
     "tan": _unary(np.tan),
-    "exp": _guarded("exp", np.exp, lambda u: u > _OVERFLOW_ARG, "overflow"),
-    "ln": _guarded("ln", np.log, lambda u: u <= 0.0, "argument not positive"),
-    "sqrt": _guarded("sqrt", np.sqrt, lambda u: u < 0.0, "negative argument"),
+    "exp": _guarded("exp", np.exp, lambda u: _highest(u) > _OVERFLOW_ARG, "overflow"),
+    "ln": _guarded("ln", np.log, lambda u: _lowest(u) <= 0.0, "argument not positive"),
+    "sqrt": _guarded("sqrt", np.sqrt, lambda u: _lowest(u) < 0.0, "negative argument"),
     "sinh": _guarded("sinh", np.sinh, _beyond_overflow, "overflow"),
     "cosh": _guarded("cosh", np.cosh, _beyond_overflow, "overflow"),
 }
@@ -510,10 +522,6 @@ def chunked(fn, *args) -> tuple:
 def evaluate(e: Expr, env: Mapping[str, Number]) -> Number:
     """Evaluate on floats or numpy arrays; raises EvalDomainError off-domain."""
     return Program((e,))(env)[0]
-
-
-def eval_at(e: Expr, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> float:
-    return float(evaluate(e, {"x": x, "y": y, "z": z}))
 
 
 # ---------------------------------------------------------------------------

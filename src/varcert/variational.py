@@ -22,7 +22,6 @@ from .expr import (
     Program,
     chunked,
     diff,
-    evaluate,
     free_vars,
     parse,
     simplify,
@@ -174,13 +173,6 @@ class Extremal:
     def y0pp(self) -> Expr:
         return diff(self.y0p, "x")
 
-    @property
-    def boundary_values(self) -> tuple:
-        return (
-            float(evaluate(self.y0, {"x": self.a})),
-            float(evaluate(self.y0, {"x": self.b})),
-        )
-
     @cached_property
     def program(self) -> Program:
         """The path and its first two derivatives."""
@@ -191,24 +183,10 @@ class Extremal:
         xs = np.asarray(xs, dtype=float)
         return self.program.sample({"x": xs}, xs)
 
-    def grid(self, n: int = 512) -> Grid:
-        return Grid(self.a, self.b, n)
-
 
 def ensure_same_interval(y0: Extremal, grid: Grid) -> None:
     if grid.a != y0.a or grid.b != y0.b:
         raise ValueError("grid interval must match the candidate path interval")
-
-
-@dataclass(frozen=True, eq=False)
-class LegendreProfile:
-    """Node samples of p(x) = f_zz and q(x) = f_yy - d/dx f_yz along a path."""
-
-    grid: Grid
-    p_of_x: np.ndarray
-    q_of_x: np.ndarray
-    p_min: float
-    q_min: float
 
 
 def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
@@ -226,48 +204,24 @@ def _coefficients(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
     return p, f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
 
 
-def certify_samples(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
-    """The Euler-Lagrange residual, p and q at abscissae, in one pass.
+def certify_samples(f: Integrand, y0: Extremal, xs) -> tuple:
+    """The Euler-Lagrange residual f_y - (f_xz + f_yz y0' + f_zz y0''), p and q.
 
-    The path is sampled once and ``f.certify_program`` runs once. Its
-    residual roots come first, so an evaluation error is the one that the
-    residual followed by p and q, each sampled on its own, would raise.
+    One pass at arbitrary abscissae, chunked like ``coefficient_samples``:
+    per chunk the path is sampled once and ``f.certify_program`` runs once.
+    Its residual roots come first, so an evaluation error is the one that
+    the residual followed by p and q, each sampled on its own, would raise.
     """
+    return chunked(partial(_certify_chunk, f, y0), np.asarray(xs, dtype=float))
+
+
+def _certify_chunk(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
     yv, ypv, yppv = y0.sample(xs)
     f_y, f_xz, f_yz, f_zz, f_yy, f_xyz, f_yyz, f_yzz = f.certify_program.sample(
         {"x": xs, "y": yv, "z": ypv}, xs)
     return (f_y - f_xz - f_yz * ypv - f_zz * yppv,
             f_zz,
             f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv)
-
-
-def legendre_profile(f: Integrand, y0: Extremal, grid: Grid) -> LegendreProfile:
-    """Profile with minima taken over the grid nodes.
-
-    p and q come from the pass that ``certify`` makes, so an evaluation
-    error in the residual's partials is raised here too.
-    """
-    ensure_same_interval(y0, grid)
-    _, p, q = chunked(partial(certify_samples, f, y0), grid.nodes)
-    return LegendreProfile(grid, p, q, float(p.min()), float(q.min()))
-
-
-def el_residual_at(f: Integrand, y0: Extremal, xs) -> np.ndarray:
-    """Euler-Lagrange residual f_y - (f_xz + f_yz y0' + f_zz y0'') at abscissae.
-
-    It comes from the pass that ``certify`` makes, so an evaluation error in
-    the partials of p and q is raised here too.
-    """
-    return chunked(partial(certify_samples, f, y0), np.asarray(xs, dtype=float))[0]
-
-
-def el_residual(f: Integrand, y0: Extremal, grid: Grid) -> np.ndarray:
-    ensure_same_interval(y0, grid)
-    return el_residual_at(f, y0, grid.nodes)
-
-
-def el_residual_max(f: Integrand, y0: Extremal, grid: Grid) -> float:
-    return float(np.max(np.abs(el_residual(f, y0, grid))))
 
 
 def shift(f: Integrand, y0: Extremal) -> Integrand:

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from varcert import Expr, const, var, sample_corpus
+from varcert import Expr, const, evaluate, var, sample_corpus
 
 _VARIABLES = ("x", "y", "z")
 _UNARY = ("sin", "cos", "exp", "ln", "sqrt", "tan", "sinh", "cosh")
+
+
+def eval_at(e: Expr, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> float:
+    """The value of e at one point (x, y, z), as a Python float."""
+    return float(evaluate(e, {"x": x, "y": y, "z": z}))
 
 
 def random_tree(rng: np.random.Generator, depth: int) -> Expr:

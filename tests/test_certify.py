@@ -27,7 +27,6 @@ from varcert import (
     empirical_verify,
     functional_value,
     h1_norm_sq,
-    legendre_profile,
     length_bound,
     quad_coefficient,
 )
@@ -36,6 +35,7 @@ from varcert.calculus import SampledPath
 from varcert.certify import _clamped_spline, _snapped_knots
 from varcert.cli import main
 from varcert.expr import CHUNK, Expr, Program, X, Y, Z, chunked, const, parse
+from varcert.variational import certify_samples
 
 PI_SQ = math.pi * math.pi
 
@@ -96,43 +96,40 @@ def test_quad_coefficient_positive_when_present(p, q, length):
 # classification
 
 
-def _profile(f_text, a, b, n=64, y0_text="0"):
+def _minima(f_text, a, b, n=64, y0_text="0"):
+    # p_min and q_min over the nodes, as certify takes them
     f = Integrand.from_text(f_text)
     y0 = Extremal.from_text(y0_text, a, b)
-    return legendre_profile(f, y0, Grid(a, b, n))
+    _, p, q = certify_samples(f, y0, Grid(a, b, n).nodes)
+    return float(p.min()), float(q.min())
 
 
 def test_classify_unconditional():
-    profile = _profile("y^2+0.5*z^2", 0.0, 10.0)
-    verdict = classify(profile, 0.0, 0.0, 10.0)
+    verdict = classify(*_minima("y^2+0.5*z^2", 0.0, 10.0), 0.0, 0.0, 10.0)
     assert verdict.kind is VerdictKind.MINIMUM_UNCONDITIONAL
     assert verdict.length_bound is None
 
 
 def test_classify_under_length_carries_bound():
-    profile = _profile("z^2-y^2", 0.0, 0.5)
-    verdict = classify(profile, 0.0, 0.0, 0.5)
+    verdict = classify(*_minima("z^2-y^2", 0.0, 0.5), 0.0, 0.0, 0.5)
     assert verdict.kind is VerdictKind.MINIMUM_UNDER_LENGTH
     assert verdict.length_bound == pytest.approx(math.pi / 4.0, rel=1e-12)
 
 
 def test_classify_inconclusive_beyond_bound():
-    profile = _profile("z^2-y^2", 0.0, 1.0)
-    verdict = classify(profile, 0.0, 0.0, 1.0)
+    verdict = classify(*_minima("z^2-y^2", 0.0, 1.0), 0.0, 0.0, 1.0)
     assert verdict.kind is VerdictKind.INCONCLUSIVE
     assert verdict.length_bound is None
 
 
 def test_classify_legendre_failure():
-    profile = _profile("-z^2", 0.0, 1.0)
-    verdict = classify(profile, 0.0, 0.0, 1.0)
+    verdict = classify(*_minima("-z^2", 0.0, 1.0), 0.0, 0.0, 1.0)
     assert verdict.kind is VerdictKind.LEGENDRE_FAILED
 
 
 def test_classify_stationarity_failure_wins():
     # a large residual is reported even when the profile also fails
-    profile = _profile("-z^2", 0.0, 1.0)
-    verdict = classify(profile, 1.0, 0.0, 1.0, el_tol=1e-8)
+    verdict = classify(*_minima("-z^2", 0.0, 1.0), 1.0, 0.0, 1.0, el_tol=1e-8)
     assert verdict.kind is VerdictKind.EL_FAILED
 
 
@@ -141,7 +138,7 @@ def test_classify_rejects_a_tolerance_no_residual_exceeds(el_tol):
     # y = x is no extremal of z^2+y^2 (residual 2), yet 2 > nan is false
     message = "^el_tol must be a finite non-negative number$"
     with pytest.raises(ValueError, match=message):
-        classify(_profile("z^2+y^2", 0.0, 1.0), 2.0, 0.0, 1.0, el_tol)
+        classify(*_minima("z^2+y^2", 0.0, 1.0), 2.0, 0.0, 1.0, el_tol)
     with pytest.raises(ValueError, match=message):
         certify(Integrand.from_text("z^2+y^2"), Extremal.from_text("x", 0.0, 1.0),
                 Grid(0.0, 1.0, 64), el_tol=el_tol)
@@ -168,7 +165,7 @@ def test_verdict_and_coefficient_agree_at_the_boundary():
     bound = length_bound(p, q)
     for b in (bound * (1 - 1e-15), bound, np.nextafter(bound, 0.0),
               np.nextafter(bound, 2.0), bound * (1 + 1e-15)):
-        within = classify(_profile("z^2-y^2", 0.0, b), 0.0, 0.0, b).kind
+        within = classify(*_minima("z^2-y^2", 0.0, b), 0.0, 0.0, b).kind
         coefficient = quad_coefficient(p, q, 0.0, b)
         if within is VerdictKind.MINIMUM_UNDER_LENGTH:
             assert coefficient is not None and coefficient > 0.0
@@ -340,7 +337,7 @@ def test_family_paths_normalized_zero_boundary():
     grid = Grid(0.0, 2.0, 128)
     for fam in (PerturbationFamily(SINE_BASIS, count=5),
                 PerturbationFamily(RANDOM_SPLINE, count=5, seed=3)):
-        paths = fam.paths(grid)
+        paths = list(fam.paths(grid))
         assert len(paths) == 5
         for label, path in paths:
             assert path.y[0] == 0.0 and path.y[-1] == 0.0
@@ -359,7 +356,7 @@ def test_family_deterministic():
 
 def test_spline_family_on_coarse_grid_does_not_crash():
     grid = Grid(0.0, 1.0, 8)
-    paths = PerturbationFamily(RANDOM_SPLINE, count=2, knots=8).paths(grid)
+    paths = list(PerturbationFamily(RANDOM_SPLINE, count=2, knots=8).paths(grid))
     assert len(paths) == 2
 
 
@@ -488,7 +485,7 @@ def test_empirical_margin_matches_definition():
     cert = certify(f, y0, grid)
     fam = PerturbationFamily(SINE_BASIS, count=1, ladder=(0.1,))
     report = empirical_verify(f, y0, cert, fam, grid)
-    label, eta = fam.paths(grid)[0]
+    label, eta = next(fam.paths(grid))
     base_y, base_yp, _ = y0.sample(grid.nodes)
     bumped = SampledPath(grid, base_y + 0.1 * eta.y, base_yp + 0.1 * eta.yp)
     gap = (functional_value(f, bumped)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from varcert import cli
 from varcert.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -178,6 +179,31 @@ def test_deeply_nested_expression_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# 401 digits: JSON reads it as an int that no float can hold
+_HUGE_INT = 10 ** 400
+
+
+@pytest.mark.parametrize("command", ["certify", "compare"])
+def test_huge_interval_end_is_one_error_line(tmp_path, capsys, command):
+    path = _problem(tmp_path, interval={"a": 0.0, "b": _HUGE_INT})
+    code, out, err = _run(capsys, [command, path])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: int too large to convert to float\n"
+
+
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # raised in place of allocating, as numpy does for --grid-n 1000000000000
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000001,) and data type float64")
+
+    monkeypatch.setattr(cli, "certify", exhausted)
+    code, out, err = _run(capsys, ["certify", _problem(tmp_path)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.splitlines() == ["error: Unable to allocate 7.28 TiB for an array with "
+                                "shape (1000000000001,) and data type float64"]
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == EXIT_ERROR
 
@@ -339,6 +365,14 @@ def test_generate_nonpositive_pfun_exits_three(tmp_path, capsys):
     path = _genspec(tmp_path, pfun="sin(x)", a=0.0, b=4.0)
     code, _, err = _run(capsys, ["generate", path])
     assert code == EXIT_PRECONDITION and err != ""
+
+
+@pytest.mark.parametrize("field", ["C", "b"])
+def test_generate_huge_number_is_one_error_line(tmp_path, capsys, field):
+    path = _genspec(tmp_path, P="x*y", **{field: _HUGE_INT})
+    code, out, err = _run(capsys, ["generate", path])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: int too large to convert to float\n"
 
 
 def test_generate_corpus_mode(tmp_path, capsys):

@@ -18,7 +18,6 @@ from varcert import (
     ParseError,
     const,
     diff,
-    eval_at,
     evaluate,
     free_vars,
     parse,
@@ -28,7 +27,9 @@ from varcert import (
     var,
 )
 from varcert.certify import _x_part_values
-from varcert.expr import _PROGRAMS, CHUNK, ONE, Program, X, Y, Z, ZERO, chunked
+from varcert.expr import _KERNELS, _PROGRAMS, CHUNK, ONE, Program, X, Y, Z, ZERO, chunked
+
+from conftest import eval_at
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +413,52 @@ def test_evaluate_domain_errors():
     for text, env in cases:
         with pytest.raises(EvalDomainError):
             evaluate(parse(text), env)
+
+
+_GUARD_DETAIL = {"exp": "overflow", "ln": "argument not positive",
+                 "sqrt": "negative argument", "sinh": "overflow", "cosh": "overflow"}
+_NAN = math.nan
+
+
+# a nan passes the guard and is left to the finiteness check; Python floats
+# are what constant folding hands the kernels
+@pytest.mark.parametrize("op, u, raises", [
+    ("exp", np.array([_NAN]), False),
+    ("exp", np.array([_NAN, 701.0]), True),
+    ("exp", np.array([]), False),
+    ("exp", 701.0, True),
+    ("exp", _NAN, False),
+    ("exp", np.array([-math.inf, 0.5]), False),
+    ("exp", np.array([math.inf]), True),
+    ("ln", np.array([_NAN]), False),
+    ("ln", np.array([_NAN, -1.0]), True),
+    ("ln", np.array([-0.0]), True),
+    ("ln", np.array([0.0, 2.0]), True),
+    ("ln", np.array([]), False),
+    ("ln", 2.0, False),
+    ("ln", -1.0, True),
+    ("ln", np.array([1e-300, _NAN]), False),
+    ("sqrt", np.array([_NAN, -1.0]), True),
+    ("sqrt", np.array([-0.0]), False),
+    ("sqrt", np.array([]), False),
+    ("sqrt", -1e-300, True),
+    ("sqrt", _NAN, False),
+    ("sinh", np.array([_NAN, -701.0]), True),
+    ("sinh", np.array([-math.inf]), True),
+    ("sinh", np.array([700.0, -700.0]), False),
+    ("cosh", np.array([_NAN, 701.0]), True),
+    ("cosh", np.array([]), False),
+    ("cosh", _NAN, False),
+])
+def test_guarded_kernel_truth_table(op, u, raises):
+    kernel = _KERNELS[op]
+    with np.errstate(all="ignore"):
+        if not raises:
+            kernel(u, None, None)
+            return
+        with pytest.raises(EvalDomainError) as err:
+            kernel(u, None, None)
+    assert str(err.value) == f"domain error in {op!r}: {_GUARD_DETAIL[op]}"
 
 
 _eval_leaves = st.one_of(

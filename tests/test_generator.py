@@ -17,10 +17,7 @@ from varcert import (
     build,
     certify,
     diff,
-    el_residual_max,
-    eval_at,
     evaluate,
-    legendre_profile,
     parse,
     sample_corpus,
     simplify,
@@ -30,6 +27,9 @@ from varcert import (
 )
 from varcert.certify import MINIMUM_KINDS
 from varcert.expr import ZERO
+from varcert.variational import certify_samples
+
+from conftest import eval_at
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_zero_path_is_always_stationary():
     zero = Extremal.zero(0.0, 1.0)
     for spec in cases:
         f, _ = build(spec)
-        assert el_residual_max(f, zero, grid) < 1e-10
+        assert certify(f, zero, grid).verdict.el_residual_max < 1e-10
 
 
 def test_linear_coefficient_structure():
@@ -164,8 +164,9 @@ def test_linear_coefficient_structure():
 def test_leading_coefficient_matches_pfun():
     spec = GeneratorSpec(P=parse("x*y"), pfun=parse("1+x^2"))
     f, _ = build(spec)
-    profile = legendre_profile(f, Extremal.zero(0.0, 1.0), Grid(0.0, 1.0, 64))
-    assert np.allclose(profile.p_of_x, 1.0 + Grid(0.0, 1.0, 64).nodes ** 2)
+    xs = Grid(0.0, 1.0, 64).nodes
+    _, p, _ = certify_samples(f, Extremal.zero(0.0, 1.0), xs)
+    assert np.allclose(p, 1.0 + xs ** 2)
 
 
 def test_pfun_positivity_enforced():
@@ -186,7 +187,7 @@ def test_shifted_path_is_stationary():
     spec = GeneratorSpec(P=parse("x*y^2"), qfun=parse("x*y"),
                          y0=Extremal.from_text("x*(1-x)", 0.0, 1.0))
     f, _ = build(spec)
-    assert el_residual_max(f, spec.y0, Grid(0.0, 1.0, 128)) < 1e-10
+    assert certify(f, spec.y0, Grid(0.0, 1.0, 128)).verdict.el_residual_max < 1e-10
 
 
 def test_build_dispatch():
@@ -213,8 +214,8 @@ def test_table_fallback_produces_certified_problem():
     assert info.table is not None and info.table.values[0] == 0.0
     grid = Grid(0.0, 0.6, 256)
     zero = Extremal.zero(0.0, 0.6)
-    assert el_residual_max(f, zero, grid) < 1e-8
     cert = certify(f, zero, grid)
+    assert cert.verdict.el_residual_max < 1e-8
     assert cert.verdict.kind in MINIMUM_KINDS
 
 
