@@ -149,11 +149,15 @@ def _resolve_grid_n(flag: Optional[int], file_value) -> int:
     return n
 
 
+def _is_number(value) -> bool:
+    # a JSON number: float() would also take bools and numeric strings
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _resolve_el_tol(flag: Optional[float], file_value) -> float:
     tol = flag if flag is not None else file_value
     # the chained comparison is false for nan and exact for ints of any size
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or not 0.0 <= tol <= sys.float_info.max):
+    if not _is_number(tol) or not 0.0 <= tol <= sys.float_info.max:
         raise CliInputError("el_tol must be a finite non-negative number")
     return float(tol)
 
@@ -175,10 +179,10 @@ def _load_problem(path: str, grid_flag: Optional[int],
         raise CliInputError("problem file must contain a JSON object")
     try:
         integrand = raw["integrand"]
-        interval = raw["interval"]
-        a = float(interval["a"])
-        b = float(interval["b"])
-    except (KeyError, TypeError, ValueError):
+        a, b = raw["interval"]["a"], raw["interval"]["b"]
+    except (KeyError, TypeError):
+        a = b = None
+    if not (_is_number(a) and _is_number(b)):
         raise CliInputError(
             'problem file needs "integrand" and "interval": {"a": ..., "b": ...}')
     extremal = raw.get("extremal", "0")
@@ -186,7 +190,7 @@ def _load_problem(path: str, grid_flag: Optional[int],
         raise CliInputError("integrand and extremal must be expression strings")
     grid_n = _resolve_grid_n(grid_flag, raw.get("grid_n"))
     el_tol = _resolve_el_tol(el_flag, raw.get("el_tol", _DEFAULT_EL_TOL))
-    return ProblemFile(integrand, a, b, extremal, grid_n, el_tol)
+    return ProblemFile(integrand, float(a), float(b), extremal, grid_n, el_tol)
 
 
 def _problem_echo(problem: ProblemFile) -> dict:
@@ -351,6 +355,9 @@ def cmd_verify(args) -> int:
 def _spec_from_json(raw: dict) -> GeneratorSpec:
     if not isinstance(raw, dict):
         raise CliInputError("generator spec must be a JSON object")
+    for name in ("a", "b", "C"):
+        if name in raw and not _is_number(raw[name]):
+            raise CliInputError(f"invalid generator spec: {name} must be a number")
     a = float(raw.get("a", 0.0))
     b = float(raw.get("b", 1.0))
     y0_text = raw.get("y0")

@@ -3,7 +3,9 @@
 Immutable interned nodes, a small recursive-descent parser, exact symbolic
 differentiation and simplification by constant folding and 0/1 identities,
 both memoised on the nodes, and numeric evaluation on scalars or numpy
-arrays by programs compiled from one or more expressions.
+arrays by programs compiled from one or more expressions. Differentiation,
+simplification, substitution, rendering and compiling walk a tree by
+``_postorder``, on an explicit stack, so tree depth is bounded by memory.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import re
 import struct
 import weakref
+from collections import Counter
 from typing import Mapping, Union
 
 import numpy as np
@@ -220,15 +223,33 @@ def cosh(e) -> Expr:
     return Expr("cosh", (as_expr(e),))
 
 
-def free_vars(e: Expr) -> frozenset:
-    out = e._free
-    if out is None:
-        if e.op == "var":
-            out = frozenset((e.value,))
+def _postorder(root: Expr, done=None, leaf=None) -> list:
+    """The nodes under root, each once, in the order a left-to-right recursive
+    walk finishes them: the root always, but not a child for which ``done``
+    holds, nor the children of a node for which ``leaf`` holds.
+    """
+    order = {}  # ordered set; in a DAG, a child met again is already in it
+    stack = [(root, iter(() if leaf and leaf(root) else root.args))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in order and not (done and done(child)):
+                if child.args and not (leaf and leaf(child)):
+                    stack.append((child, iter(child.args)))
+                    break
+                order[child] = None  # nothing to enter, so finished at once
         else:
-            out = frozenset().union(*map(free_vars, e.args))
-        _set(e, "_free", out)
-    return out
+            stack.pop()
+            order[node] = None
+    return list(order)
+
+
+def free_vars(e: Expr) -> frozenset:
+    if e._free is None:
+        for node in _postorder(e, lambda n: n._free is not None):
+            _set(node, "_free", frozenset((node.value,)) if node.op == "var"
+                 else frozenset().union(*(c._free for c in node.args)))
+    return e._free
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +411,11 @@ class Program:
         ends = []
         for root in roots:
             if root not in position:
-                stack = [(root, iter(() if root in given else root.args))]
-                while stack:
-                    node, children = stack[-1]
-                    for child in children:
-                        if child not in position:
-                            stack.append((child, iter(() if child in given else child.args)))
-                            break
-                    else:
-                        stack.pop()
-                        t = position[node] = len(position)
-                        if node not in given:
-                            for child in node.args:
-                                last[child] = t
+                for node in _postorder(root, position.__contains__, given.__contains__):
+                    t = position[node] = len(position)
+                    if node not in given:
+                        for child in node.args:
+                            last[child] = t
             ends.append(len(position))
         for root, end in zip(roots, ends):
             last[root] = max(last.get(root, -1), end - 1)
@@ -532,38 +545,37 @@ def diff(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to one of x, y, z."""
     if name not in VARIABLES:
         raise ValueError(f"unknown variable {name!r}")
-    memo = e._diff
-    if memo is None:
-        memo = {}
-        _set(e, "_diff", memo)
-    out = memo.get(name)
-    if out is None:
-        out = memo[name] = simplify(_diff(e, name))
-    return out
+    if e._diff is None or name not in e._diff:
+        for node in _postorder(e, lambda n: n._diff is not None and name in n._diff):
+            if node._diff is None:
+                _set(node, "_diff", {})
+            node._diff[name] = simplify(_diff(node, name))
+    return e._diff[name]
 
 
 def _diff(e: Expr, name: str) -> Expr:
+    # the derivatives of e's children are in their memos already
     op = e.op
     if op == "const":
         return ZERO
     if op == "var":
         return ONE if e.value == name else ZERO
     if op == "add":
-        return Expr("add", (diff(e.args[0], name), diff(e.args[1], name)))
+        return Expr("add", (e.args[0]._diff[name], e.args[1]._diff[name]))
     if op == "sub":
-        return Expr("sub", (diff(e.args[0], name), diff(e.args[1], name)))
+        return Expr("sub", (e.args[0]._diff[name], e.args[1]._diff[name]))
     if op == "mul":
         u, v = e.args
         return Expr("add", (
-            Expr("mul", (diff(u, name), v)),
-            Expr("mul", (u, diff(v, name))),
+            Expr("mul", (u._diff[name], v)),
+            Expr("mul", (u, v._diff[name])),
         ))
     if op == "div":
         u, v = e.args
         return Expr("div", (
             Expr("sub", (
-                Expr("mul", (diff(u, name), v)),
-                Expr("mul", (u, diff(v, name))),
+                Expr("mul", (u._diff[name], v)),
+                Expr("mul", (u, v._diff[name])),
             )),
             Expr("pow", (v,), 2),
         ))
@@ -574,10 +586,10 @@ def _diff(e: Expr, name: str) -> Expr:
             return ZERO
         return Expr("mul", (
             Expr("mul", (const(float(n)), Expr("pow", (base,), n - 1))),
-            diff(base, name),
+            base._diff[name],
         ))
     u = e.args[0]
-    du = diff(u, name)
+    du = u._diff[name]
     if op == "neg":
         return Expr("neg", (du,))
     if op == "sin":
@@ -606,20 +618,19 @@ def _diff(e: Expr, name: str) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Constant folding plus 0/1 identities; value-preserving off singularities."""
     out = e._simplified
-    if out is True:
-        return e
     if out is None:
-        if e.op in ("const", "var"):
-            out = e
-        else:
-            node = Expr(e.op, tuple(simplify(c) for c in e.args), e.value)
-            out = _fold(node)
-            if out is None:
-                out = _identities(node)
-        # True marks a node that is its own simplified form: a memo pointing
-        # at its own node would leave it to the cycle collector
-        _set(e, "_simplified", True if out is e else out)
-    return out
+        for node in _postorder(e, lambda n: n._simplified is not None):
+            if node.op in ("const", "var"):
+                out = node
+            else:
+                new = Expr(node.op, tuple([c if (s := c._simplified) is True else s
+                                           for c in node.args]), node.value)
+                out = _fold(new) or _identities(new)
+            # True marks a node that is its own simplified form: a memo
+            # pointing at its own node would leave it to the cycle collector
+            _set(node, "_simplified", True if out is node else out)
+        out = e._simplified
+    return e if out is True else out
 
 
 def _is_const(e: Expr, value=None) -> bool:
@@ -653,7 +664,7 @@ def _identities(node: Expr) -> Expr:
         if _is_const(right, 0.0):
             return left
         if _is_const(left, 0.0):
-            return simplify(Expr("neg", (right,)))
+            node, op = Expr("neg", (right,)), "neg"  # then the neg rules below
     elif op == "mul":
         left, right = node.args
         if _is_const(left, 0.0) or _is_const(right, 0.0):
@@ -668,27 +679,29 @@ def _identities(node: Expr) -> Expr:
             return left
         if _is_const(left, 0.0) and not _is_const(right, 0.0):
             return ZERO
-    elif op == "neg":
-        child = node.args[0]
-        if child.op == "neg":
-            return child.args[0]
-        if child.op == "const":
-            return const(-child.value)
     elif op == "pow":
         if node.value == 0:
             return ONE
         if node.value == 1:
             return node.args[0]
+    if op == "neg":
+        child = node.args[0]
+        if child.op == "neg":
+            return child.args[0]
+        if child.op == "const":
+            return const(-child.value)
     return node
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions; no simplification is applied."""
-    if e.op == "var":
-        return mapping.get(e.value, e)
-    if e.op == "const":
-        return e
-    return Expr(e.op, tuple(substitute(c, mapping) for c in e.args), e.value)
+    out = {}
+    for node in _postorder(e):
+        if node.op == "var":
+            out[node] = mapping.get(node.value, node)
+        else:
+            out[node] = Expr(node.op, tuple(out[c] for c in node.args), node.value)
+    return out[e]
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +863,20 @@ def _prec(e: Expr) -> int:
 
 def unparse(e: Expr) -> str:
     """Render to text that parses back to an equal tree."""
+    order = _postorder(e)
+    # a text is dropped after its last use, so a deep tree holds few at once
+    uses = Counter(child for node in order for child in node.args)
+    text = {}
+    for node in order:
+        text[node] = _rendered(node, text)
+        for child in node.args:
+            uses[child] -= 1
+            if not uses[child]:
+                del text[child]
+    return text[e]
+
+
+def _rendered(e: Expr, text: dict) -> str:
     op = e.op
     if op == "const":
         return repr(e.value)
@@ -860,23 +887,23 @@ def unparse(e: Expr) -> str:
         # constants are parenthesized so "-(2.5)" stays distinct from the
         # negative literal -2.5
         if child.op != "const" and _prec(child) > _PRECEDENCE["neg"]:
-            return "-" + unparse(child)
-        return "-(" + unparse(child) + ")"
+            return "-" + text[child]
+        return "-(" + text[child] + ")"
     if op == "pow":
         base = e.args[0]
-        inner = unparse(base)
+        inner = text[base]
         if _prec(base) < 5 or inner.startswith("-"):
             inner = "(" + inner + ")"
         return f"{inner}^{e.value}"
     if op in _BINARY_SYMBOL:
         prec = _PRECEDENCE[op]
         left, right = e.args
-        left_text = unparse(left)
+        left_text = text[left]
         if _prec(left) < prec:
             left_text = "(" + left_text + ")"
-        right_text = unparse(right)
+        right_text = text[right]
         # leading minus after an operator reads badly ("x--1"); parenthesize
         if _prec(right) <= prec or right_text.startswith("-"):
             right_text = "(" + right_text + ")"
         return left_text + _BINARY_SYMBOL[op] + right_text
-    return f"{op}({unparse(e.args[0])})"
+    return f"{op}({text[e.args[0]]})"

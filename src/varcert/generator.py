@@ -29,6 +29,7 @@ from .expr import (
     Y,
     ZERO,
     Expr,
+    _postorder,
     const,
     diff,
     evaluate,
@@ -140,17 +141,8 @@ _POLY_OPS = frozenset({"const", "var", "add", "sub", "mul", "neg", "pow"})
 
 def _is_polynomial(e: Expr) -> bool:
     """Polynomial in x: only +, -, *, neg, nonnegative integer powers."""
-    if free_vars(e) - {"x"}:
-        return False
-
-    def walk(node: Expr) -> bool:
-        if node.op not in _POLY_OPS:
-            return False
-        if node.op == "pow" and node.value < 0:
-            return False
-        return all(walk(child) for child in node.args)
-
-    return walk(e)
+    return free_vars(e) <= {"x"} and all(
+        node.op in _POLY_OPS and (node.op != "pow" or node.value >= 0) for node in _postorder(e))
 
 
 def _is_zero(e: Expr) -> bool:

@@ -20,6 +20,7 @@ from .expr import (
     ZERO,
     Expr,
     Program,
+    _postorder,
     chunked,
     diff,
     free_vars,
@@ -102,19 +103,8 @@ class Integrand:
         on one grid can compute them once and hand them to
         ``x_parts_program``.
         """
-        parts = []
-        seen = set()
-        stack = [self.f]
-        while stack:
-            node = stack.pop()
-            if node in seen or not node.args:
-                continue
-            seen.add(node)
-            if free_vars(node) == {"x"}:
-                parts.append(node)
-            else:
-                stack.extend(reversed(node.args))
-        return tuple(parts)
+        nodes = _postorder(self.f, leaf=lambda node: free_vars(node) == {"x"})
+        return tuple(node for node in nodes if node.args and free_vars(node) == {"x"})
 
     @cached_property
     def x_parts_program(self) -> Program:
@@ -126,7 +116,8 @@ class Integrand:
         """The partials of the residual, then the rest of p and q.
 
         Roots: f_y, f_xz, f_yz, f_zz for the Euler-Lagrange residual, then
-        f_yy, f_xyz, f_yyz, f_yzz; p is f_zz itself.
+        f_yy, f_xyz, f_yyz, f_yzz; the last five are ``profile_program``'s
+        roots, and p is f_zz itself.
         """
         return Program((self.f_y, self.f_xz, self.f_yz, self.f_zz,
                         self.f_yy, self.f_xyz, self.f_yyz, self.f_yzz))
@@ -200,7 +191,12 @@ def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
 
 def _coefficients(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
     yv, ypv, yppv = y0.sample(xs)
-    p, f_yy, f_xyz, f_yyz, f_yzz = f.profile_program.sample({"x": xs, "y": yv, "z": ypv}, xs)
+    return _p_and_q(f.profile_program.sample({"x": xs, "y": yv, "z": ypv}, xs), ypv, yppv)
+
+
+def _p_and_q(partials, ypv, yppv) -> tuple:
+    """p and q from the samples of f_zz, f_yy, f_xyz, f_yyz, f_yzz."""
+    p, f_yy, f_xyz, f_yyz, f_yzz = partials
     return p, f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
 
 
@@ -217,11 +213,9 @@ def certify_samples(f: Integrand, y0: Extremal, xs) -> tuple:
 
 def _certify_chunk(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
     yv, ypv, yppv = y0.sample(xs)
-    f_y, f_xz, f_yz, f_zz, f_yy, f_xyz, f_yyz, f_yzz = f.certify_program.sample(
-        {"x": xs, "y": yv, "z": ypv}, xs)
-    return (f_y - f_xz - f_yz * ypv - f_zz * yppv,
-            f_zz,
-            f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv)
+    partials = f.certify_program.sample({"x": xs, "y": yv, "z": ypv}, xs)
+    f_y, f_xz, f_yz, f_zz = partials[:4]
+    return (f_y - f_xz - f_yz * ypv - f_zz * yppv, *_p_and_q(partials[3:], ypv, yppv))
 
 
 def shift(f: Integrand, y0: Extremal) -> Integrand:

@@ -170,13 +170,32 @@ def test_missing_interval_exits_one(tmp_path, capsys):
 
 
 def test_deeply_nested_expression_exits_one(tmp_path, capsys):
-    terms = [f"{k}*x*y" for k in range(1, 600)] + ["z^2"]
-    path = _problem(tmp_path, integrand="+".join(terms))
+    # the parser recurses on parentheses
+    path = _problem(tmp_path, integrand="(" * 2000 + "z^2" + ")" * 2000)
     code, out, err = _run(capsys, ["certify", path])
     assert code == EXIT_ERROR
     assert out == ""
     assert err.splitlines() == ["error: expression is nested too deeply"]
     assert "Traceback" not in err
+
+
+def test_long_sum_ends_in_a_verdict(tmp_path, capsys):
+    # 600 terms nest 600 deep; no pass after parsing recurses on them
+    terms = [f"{k}*x*y" for k in range(1, 600)] + ["z^2"]
+    path = _problem(tmp_path, integrand="+".join(terms))
+    code, out, err = _run(capsys, ["certify", path])
+    assert (code, err) == (EXIT_PRECONDITION, "")
+    assert json.loads(out)["verdict"] == "EulerLagrangeFailed"
+
+
+@pytest.mark.parametrize("interval", [
+    {"a": False, "b": 0.5}, {"a": 0.0, "b": True}, {"a": "0", "b": 0.5}, {"a": 0.0, "b": " 0.5 "},
+])
+def test_interval_ends_must_be_json_numbers(tmp_path, capsys, interval):
+    # float() would take a bool or a numeric string
+    code, out, err = _run(capsys, ["certify", _problem(tmp_path, interval=interval)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == 'error: problem file needs "integrand" and "interval": {"a": ..., "b": ...}\n'
 
 
 # 401 digits: JSON reads it as an int that no float can hold
@@ -373,6 +392,15 @@ def test_generate_huge_number_is_one_error_line(tmp_path, capsys, field):
     code, out, err = _run(capsys, ["generate", path])
     assert (code, out) == (EXIT_ERROR, "")
     assert err == "error: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize("field", ["a", "b", "C"])
+@pytest.mark.parametrize("value", [True, False, "0.5"])
+def test_generate_numbers_must_be_json_numbers(tmp_path, capsys, field, value):
+    path = _genspec(tmp_path, P="x*y", **{field: value})
+    code, out, err = _run(capsys, ["generate", path])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: invalid generator spec: {field} must be a number\n"
 
 
 def test_generate_corpus_mode(tmp_path, capsys):

@@ -4,6 +4,7 @@ import copy
 import gc
 import math
 import pickle
+import sys
 import weakref
 
 import numpy as np
@@ -14,22 +15,46 @@ import hypothesis.strategies as st
 from varcert import (
     EvalDomainError,
     Expr,
+    Extremal,
+    Grid,
     Integrand,
     ParseError,
+    VerdictKind,
+    certify,
+    compare_criteria,
     const,
     diff,
     evaluate,
     free_vars,
     parse,
+    shift,
     simplify,
     substitute,
     unparse,
     var,
 )
 from varcert.certify import _x_part_values
-from varcert.expr import _KERNELS, _PROGRAMS, CHUNK, ONE, Program, X, Y, Z, ZERO, chunked
+from varcert.expr import (
+    _BINARY_SYMBOL,
+    _KERNELS,
+    _PRECEDENCE,
+    _PROGRAMS,
+    CHUNK,
+    ONE,
+    VARIABLES,
+    Program,
+    X,
+    Y,
+    Z,
+    ZERO,
+    _fold,
+    _is_const,
+    _postorder,
+    _prec,
+    chunked,
+)
 
-from conftest import eval_at
+from conftest import eval_at, random_tree
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +146,194 @@ def _binary_power(base, n):
     if not isinstance(power, np.ndarray) and math.isinf(power) and not math.isinf(base):
         raise EvalDomainError("pow", "overflow")
     return power
+
+
+# ---------------------------------------------------------------------------
+# reference passes: the recursive tree walks the iterative passes replace.
+# ``memo`` maps a node to its simplified form and (node, name) to the
+# derivative, as the memos on the nodes did.
+
+
+def _reference_diff(e, name, memo):
+    if (e, name) not in memo:
+        memo[e, name] = _reference_simplify(_reference_diff_rule(e, name, memo), memo)
+    return memo[e, name]
+
+
+def _reference_diff_rule(e, name, memo):
+    op = e.op
+    if op == "const":
+        return ZERO
+    if op == "var":
+        return ONE if e.value == name else ZERO
+    if op == "add":
+        return Expr("add", (_reference_diff(e.args[0], name, memo),
+                            _reference_diff(e.args[1], name, memo)))
+    if op == "sub":
+        return Expr("sub", (_reference_diff(e.args[0], name, memo),
+                            _reference_diff(e.args[1], name, memo)))
+    if op == "mul":
+        u, v = e.args
+        return Expr("add", (
+            Expr("mul", (_reference_diff(u, name, memo), v)),
+            Expr("mul", (u, _reference_diff(v, name, memo))),
+        ))
+    if op == "div":
+        u, v = e.args
+        return Expr("div", (
+            Expr("sub", (
+                Expr("mul", (_reference_diff(u, name, memo), v)),
+                Expr("mul", (u, _reference_diff(v, name, memo))),
+            )),
+            Expr("pow", (v,), 2),
+        ))
+    if op == "pow":
+        base = e.args[0]
+        n = e.value
+        if n == 0:
+            return ZERO
+        return Expr("mul", (
+            Expr("mul", (const(float(n)), Expr("pow", (base,), n - 1))),
+            _reference_diff(base, name, memo),
+        ))
+    u = e.args[0]
+    du = _reference_diff(u, name, memo)
+    if op == "neg":
+        return Expr("neg", (du,))
+    if op == "sin":
+        return Expr("mul", (Expr("cos", (u,)), du))
+    if op == "cos":
+        return Expr("neg", (Expr("mul", (Expr("sin", (u,)), du)),))
+    if op == "tan":
+        return Expr("div", (du, Expr("pow", (Expr("cos", (u,)),), 2)))
+    if op == "exp":
+        return Expr("mul", (e, du))
+    if op == "ln":
+        return Expr("div", (du, u))
+    if op == "sqrt":
+        return Expr("div", (du, Expr("mul", (const(2.0), e))))
+    if op == "sinh":
+        return Expr("mul", (Expr("cosh", (u,)), du))
+    if op == "cosh":
+        return Expr("mul", (Expr("sinh", (u,)), du))
+    raise AssertionError(op)
+
+
+def _reference_simplify(e, memo):
+    if e not in memo:
+        if e.op in ("const", "var"):
+            memo[e] = e
+        else:
+            node = Expr(e.op, tuple(_reference_simplify(c, memo) for c in e.args), e.value)
+            out = _fold(node)
+            memo[e] = _reference_identities(node, memo) if out is None else out
+    return memo[e]
+
+
+def _reference_identities(node, memo):
+    op = node.op
+    if op == "add":
+        left, right = node.args
+        if _is_const(left, 0.0):
+            return right
+        if _is_const(right, 0.0):
+            return left
+    elif op == "sub":
+        left, right = node.args
+        if _is_const(right, 0.0):
+            return left
+        if _is_const(left, 0.0):
+            return _reference_simplify(Expr("neg", (right,)), memo)
+    elif op == "mul":
+        left, right = node.args
+        if _is_const(left, 0.0) or _is_const(right, 0.0):
+            return ZERO
+        if _is_const(left, 1.0):
+            return right
+        if _is_const(right, 1.0):
+            return left
+    elif op == "div":
+        left, right = node.args
+        if _is_const(right, 1.0):
+            return left
+        if _is_const(left, 0.0) and not _is_const(right, 0.0):
+            return ZERO
+    elif op == "neg":
+        child = node.args[0]
+        if child.op == "neg":
+            return child.args[0]
+        if child.op == "const":
+            return const(-child.value)
+    elif op == "pow":
+        if node.value == 0:
+            return ONE
+        if node.value == 1:
+            return node.args[0]
+    return node
+
+
+def _reference_substitute(e, mapping):
+    if e.op == "var":
+        return mapping.get(e.value, e)
+    if e.op == "const":
+        return e
+    return Expr(e.op, tuple(_reference_substitute(c, mapping) for c in e.args), e.value)
+
+
+def _reference_unparse(e):
+    op = e.op
+    if op == "const":
+        return repr(e.value)
+    if op == "var":
+        return e.value
+    if op == "neg":
+        child = e.args[0]
+        if child.op != "const" and _prec(child) > _PRECEDENCE["neg"]:
+            return "-" + _reference_unparse(child)
+        return "-(" + _reference_unparse(child) + ")"
+    if op == "pow":
+        base = e.args[0]
+        inner = _reference_unparse(base)
+        if _prec(base) < 5 or inner.startswith("-"):
+            inner = "(" + inner + ")"
+        return f"{inner}^{e.value}"
+    if op in _BINARY_SYMBOL:
+        prec = _PRECEDENCE[op]
+        left, right = e.args
+        left_text = _reference_unparse(left)
+        if _prec(left) < prec:
+            left_text = "(" + left_text + ")"
+        right_text = _reference_unparse(right)
+        if _prec(right) <= prec or right_text.startswith("-"):
+            right_text = "(" + right_text + ")"
+        return left_text + _BINARY_SYMBOL[op] + right_text
+    return f"{op}({_reference_unparse(e.args[0])})"
+
+
+def _reference_postorder(e, done, leaf, order):
+    if not leaf(e):
+        for child in e.args:
+            if child not in order and not done(child):
+                _reference_postorder(child, done, leaf, order)
+    order[e] = None
+    return list(order)
+
+
+def _reference_x_parts(f):
+    # pre-order, so each part is listed when it is first met
+    parts = []
+    seen = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if node in seen or not node.args:
+            continue
+        seen.add(node)
+        if free_vars(node) == {"x"}:
+            parts.append(node)
+        else:
+            stack.extend(reversed(node.args))
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +435,59 @@ def test_operator_sugar_builds_expected_trees():
 def test_free_vars():
     assert free_vars(parse("sin(x)*y^2")) == frozenset({"x", "y"})
     assert free_vars(const(3.0)) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the passes against their recursive references
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+@example(0, 1)
+def test_passes_match_the_recursive_references(seed, depth):
+    e = random_tree(np.random.default_rng(seed), depth)
+    assert _postorder(e) == _reference_postorder(e, lambda n: False, lambda n: False, {})
+    done, leaf = (lambda n: n.op == "const"), (lambda n: n.op in ("mul", "sin"))
+    assert _postorder(e, done, leaf) == _reference_postorder(e, done, leaf, {})
+    memo = {}
+    assert simplify(e) is _reference_simplify(e, memo)
+    derivatives = [e]
+    for name in VARIABLES:
+        d = diff(e, name)
+        assert d is _reference_diff(e, name, memo)
+        assert diff(d, "z") is _reference_diff(d, "z", memo)
+        derivatives.append(d)
+    mapping = {"y": Expr("add", (Y, parse("sin(x)"))), "z": Expr("sub", (Z, const(0.0)))}
+    for d in derivatives:
+        assert substitute(d, mapping) is _reference_substitute(d, mapping)
+        assert unparse(d) == _reference_unparse(d)
+        assert Integrand(d).x_parts == _reference_x_parts(d)
+
+
+def test_a_5000_term_integrand_needs_no_recursion():
+    # each sum nests one level deeper than the last; at the recursion limit
+    # of a fresh interpreter, any pass that recursed on the tree would fail
+    text = "z^2+" + "+".join(f"{k}e-8*y^2" for k in range(1, 5001))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        f = Integrand.from_text(text)
+        y0 = Extremal.zero(0.0, 0.5)
+        grid = Grid(0.0, 0.5, 64)
+        cert = certify(f, y0, grid)
+        comparison = compare_criteria(f, y0, grid)
+        shifted = shift(f, y0)
+        round_trip = parse(unparse(f.f))
+        renamed = substitute(f.f, {"y": Y})
+        names = free_vars(f.f)
+    finally:
+        sys.setrecursionlimit(limit)
+    # q = f_yy = 2e-8 * (1 + 2 + ... + 5000) = 0.25005
+    assert cert.verdict.kind is VerdictKind.MINIMUM_UNCONDITIONAL
+    assert (cert.p_min, cert.q_min) == (2.0, pytest.approx(0.25005))
+    assert comparison.conjugate_point is None
+    assert shifted.f is f.f and round_trip is f.f and renamed is f.f
+    assert names == frozenset({"y", "z"})
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +600,9 @@ def test_simplify_identities():
     assert simplify(parse("0/(1+x)")) == ZERO
     assert simplify(parse("2+3*4")) == const(14.0)
     assert simplify(Expr("neg", (Expr("neg", (X,)),))) == X
+    # 0 - u becomes -u, and the neg rules then apply to it
+    assert simplify(parse("0-(-x)")) == X
+    assert simplify(parse("0-y")) == Expr("neg", (Y,))
 
 
 def test_simplify_leaves_domain_errors_unfolded():

@@ -124,6 +124,27 @@ def test_every_export_has_a_caller_in_the_package():
     assert sorted(set(varcert.__all__) - called) == sorted(CALLED_BY_ACCEPTANCE_ONLY)
 
 
+def test_expression_functions_do_not_recurse():
+    # every pass over a tree walks it on an explicit stack, so no module-level
+    # function of expr.py may reach itself, directly or through others; a
+    # reference that is not a call (map(f, ...)) counts. The parser is a
+    # class, and its methods are exempt.
+    tree = ast.parse((PACKAGE / "expr.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    refers = {name: {node.id for node in ast.walk(function)
+                     if isinstance(node, ast.Name) and node.id in functions}
+              for name, function in functions.items()}
+    for start in functions:
+        reached = set()
+        pending = list(refers[start])
+        while pending:
+            name = pending.pop()
+            assert name != start, f"{start} reaches itself"
+            if name not in reached:
+                reached.add(name)
+                pending.extend(refers[name])
+
+
 def _declared_dependencies() -> set:
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     block = re.search(r"^dependencies = \[(.*?)^\]", text, re.M | re.S).group(1)
