@@ -1,11 +1,14 @@
 """Expressions over the variables x, y, z.
 
 Immutable interned nodes, a small recursive-descent parser, exact symbolic
-differentiation and simplification by constant folding and 0/1 identities,
-both memoised on the nodes, and numeric evaluation on scalars or numpy
-arrays by programs compiled from one or more expressions. Differentiation,
-simplification, substitution, rendering and compiling walk a tree by
-``_postorder``, on an explicit stack, so tree depth is bounded by memory.
+differentiation, simplification by constant folding and 0/1 identities, and
+numeric evaluation on scalars or numpy arrays by programs compiled from one
+or more expressions. One rule constructor, ``_make``, builds every node of a
+derivative or a simplified form already simplified, so neither pass interns
+a node it throws away; both results are memoised on the nodes. Every pass
+over a tree (differentiation, simplification, substitution, rendering,
+copying, compiling) walks it by ``_postorder``, on an explicit stack, so tree
+depth is bounded by memory.
 """
 
 from __future__ import annotations
@@ -125,10 +128,17 @@ class Expr:
         raise AttributeError("Expr nodes are immutable")
 
     def __reduce__(self):
-        return (Expr, (self.op, self.args, self.value))
+        # a flat post-order list, children named by index, so that pickling
+        # and copying a deep tree do not recurse; rebuilding interns again
+        order = _postorder(self)
+        index = {node: i for i, node in enumerate(order)}
+        return (_rebuild, (tuple((n.op, tuple(map(index.get, n.args)), n.value)
+                                 for n in order),))
 
     def __repr__(self):
-        return f"Expr(op={self.op!r}, args={self.args!r}, value={self.value!r})"
+        return _render(self, lambda node, text: "Expr(op={!r}, args=({}{}), value={!r})".format(
+            node.op, ", ".join(map(text.get, node.args)), "," * (len(node.args) == 1),
+            node.value))
 
     def __add__(self, other):
         return Expr("add", (self, as_expr(other)))
@@ -189,6 +199,9 @@ Y = var("y")
 Z = var("z")
 ZERO = const(0.0)
 ONE = const(1.0)
+# constants are interned by their bits, so these are all the constants equal
+# to 0.0, and ONE is the only one equal to 1.0
+_ZEROS = (ZERO, const(-0.0))
 
 
 def sin(e) -> Expr:
@@ -242,6 +255,30 @@ def _postorder(root: Expr, done=None, leaf=None) -> list:
             stack.pop()
             order[node] = None
     return list(order)
+
+
+def _rebuild(flat: tuple) -> Expr:
+    nodes = []
+    for op, args, value in flat:
+        nodes.append(Expr(op, tuple(map(nodes.__getitem__, args)), value))
+    return nodes[-1]
+
+
+def _render(e: Expr, rendered) -> str:
+    """The text of e, from ``rendered(node, text)``, which reads the texts of
+    the node's children in ``text``; a text is dropped after its last use,
+    so a deep tree holds few at once.
+    """
+    order = _postorder(e)
+    uses = Counter(child for node in order for child in node.args)
+    text = {}
+    for node in order:
+        text[node] = rendered(node, text)
+        for child in node.args:
+            uses[child] -= 1
+            if not uses[child]:
+                del text[child]
+    return text[e]
 
 
 def free_vars(e: Expr) -> frozenset:
@@ -542,72 +579,62 @@ def evaluate(e: Expr, env: Mapping[str, Number]) -> Number:
 
 
 def diff(e: Expr, name: str) -> Expr:
-    """Exact partial derivative with respect to one of x, y, z."""
+    """Exact partial derivative with respect to one of x, y, z, simplified."""
     if name not in VARIABLES:
         raise ValueError(f"unknown variable {name!r}")
     if e._diff is None or name not in e._diff:
         for node in _postorder(e, lambda n: n._diff is not None and name in n._diff):
             if node._diff is None:
                 _set(node, "_diff", {})
-            node._diff[name] = simplify(_diff(node, name))
+            node._diff[name] = _diff(node, name)
     return e._diff[name]
 
 
 def _diff(e: Expr, name: str) -> Expr:
-    # the derivatives of e's children are in their memos already
+    # simplify(the textbook derivative), built bottom-up by _make: the
+    # derivatives of e's children are in their memos already, simplified,
+    # and e and its children enter through their simplified forms
     op = e.op
     if op == "const":
         return ZERO
     if op == "var":
         return ONE if e.value == name else ZERO
-    if op == "add":
-        return Expr("add", (e.args[0]._diff[name], e.args[1]._diff[name]))
-    if op == "sub":
-        return Expr("sub", (e.args[0]._diff[name], e.args[1]._diff[name]))
-    if op == "mul":
+    if op in ("add", "sub"):
+        return _make(op, (e.args[0]._diff[name], e.args[1]._diff[name]))
+    if op in ("mul", "div"):
         u, v = e.args
-        return Expr("add", (
-            Expr("mul", (u._diff[name], v)),
-            Expr("mul", (u, v._diff[name])),
-        ))
-    if op == "div":
-        u, v = e.args
-        return Expr("div", (
-            Expr("sub", (
-                Expr("mul", (u._diff[name], v)),
-                Expr("mul", (u, v._diff[name])),
-            )),
-            Expr("pow", (v,), 2),
-        ))
+        su, sv, du, dv = simplify(u), simplify(v), u._diff[name], v._diff[name]
+        if op == "mul":
+            return _make("add", (_make("mul", (du, sv)), _make("mul", (su, dv))))
+        return _make("div", (_make("sub", (_make("mul", (du, sv)), _make("mul", (su, dv)))),
+                             _make("pow", (sv,), 2)))
     if op == "pow":
         base = e.args[0]
         n = e.value
         if n == 0:
             return ZERO
-        return Expr("mul", (
-            Expr("mul", (const(float(n)), Expr("pow", (base,), n - 1))),
-            base._diff[name],
-        ))
+        power = _make("pow", (simplify(base),), n - 1)
+        return _make("mul", (_make("mul", (const(float(n)), power)), base._diff[name]))
     u = e.args[0]
-    du = u._diff[name]
+    su, du = simplify(u), u._diff[name]
     if op == "neg":
-        return Expr("neg", (du,))
+        return _make("neg", (du,))
     if op == "sin":
-        return Expr("mul", (Expr("cos", (u,)), du))
+        return _make("mul", (_make("cos", (su,)), du))
     if op == "cos":
-        return Expr("neg", (Expr("mul", (Expr("sin", (u,)), du)),))
+        return _make("neg", (_make("mul", (_make("sin", (su,)), du)),))
     if op == "tan":
-        return Expr("div", (du, Expr("pow", (Expr("cos", (u,)),), 2)))
+        return _make("div", (du, _make("pow", (_make("cos", (su,)),), 2)))
     if op == "exp":
-        return Expr("mul", (e, du))
+        return _make("mul", (simplify(e), du))
     if op == "ln":
-        return Expr("div", (du, u))
+        return _make("div", (du, su))
     if op == "sqrt":
-        return Expr("div", (du, Expr("mul", (const(2.0), e))))
+        return _make("div", (du, _make("mul", (const(2.0), simplify(e)))))
     if op == "sinh":
-        return Expr("mul", (Expr("cosh", (u,)), du))
+        return _make("mul", (_make("cosh", (su,)), du))
     if op == "cosh":
-        return Expr("mul", (Expr("sinh", (u,)), du))
+        return _make("mul", (_make("sinh", (su,)), du))
     raise AssertionError(op)
 
 
@@ -620,12 +647,8 @@ def simplify(e: Expr) -> Expr:
     out = e._simplified
     if out is None:
         for node in _postorder(e, lambda n: n._simplified is not None):
-            if node.op in ("const", "var"):
-                out = node
-            else:
-                new = Expr(node.op, tuple([c if (s := c._simplified) is True else s
-                                           for c in node.args]), node.value)
-                out = _fold(new) or _identities(new)
+            out = _make(node.op, tuple([c if (s := c._simplified) is True else s
+                                        for c in node.args]), node.value)
             # True marks a node that is its own simplified form: a memo
             # pointing at its own node would leave it to the cycle collector
             _set(node, "_simplified", True if out is node else out)
@@ -633,63 +656,46 @@ def simplify(e: Expr) -> Expr:
     return e if out is True else out
 
 
-def _is_const(e: Expr, value=None) -> bool:
-    return e.op == "const" and (value is None or e.value == value)
-
-
-def _fold(node: Expr):
-    if not node.args or not all(c.op == "const" for c in node.args):
-        return None
-    first, second = node.args[0].value, node.args[-1].value
-    try:
-        with np.errstate(all="ignore"):
-            out = _KERNELS[node.op](first, second, node.value)
-    except EvalDomainError:
-        return None
-    if not np.isfinite(out):
-        return None
-    return const(float(out))
-
-
-def _identities(node: Expr) -> Expr:
-    op = node.op
-    if op == "add":
-        left, right = node.args
-        if _is_const(left, 0.0):
-            return right
-        if _is_const(right, 0.0):
+def _make(op: str, args: tuple = (), value=None) -> Expr:
+    """The simplified form of the node (op, args, value) whose children are
+    simplified: constant folding, then the 0/1 identities. Only the node
+    returned is interned, and it is marked as its own simplified form.
+    """
+    if args and args[0].op == "const" and args[-1].op == "const":
+        try:
+            with np.errstate(all="ignore"):
+                out = _KERNELS[op](args[0].value, args[-1].value, value)
+        except EvalDomainError:
+            pass  # left unfolded, as a non-finite result is
+        else:
+            if np.isfinite(out):
+                return const(float(out))
+    if op in _BINARY:
+        left, right = args
+        if op == "add" and (left in _ZEROS or right in _ZEROS):
+            return right if left in _ZEROS else left
+        if op == "sub" and right in _ZEROS:
             return left
-    elif op == "sub":
-        left, right = node.args
-        if _is_const(right, 0.0):
-            return left
-        if _is_const(left, 0.0):
-            node, op = Expr("neg", (right,)), "neg"  # then the neg rules below
-    elif op == "mul":
-        left, right = node.args
-        if _is_const(left, 0.0) or _is_const(right, 0.0):
+        if op == "mul" and (left in _ZEROS or right in _ZEROS):
             return ZERO
-        if _is_const(left, 1.0):
-            return right
-        if _is_const(right, 1.0):
+        if op == "mul" and (left is ONE or right is ONE):
+            return right if left is ONE else left
+        if op == "div" and right is ONE:
             return left
-    elif op == "div":
-        left, right = node.args
-        if _is_const(right, 1.0):
-            return left
-        if _is_const(left, 0.0) and not _is_const(right, 0.0):
+        if op == "div" and left in _ZEROS and right not in _ZEROS:
             return ZERO
-    elif op == "pow":
-        if node.value == 0:
-            return ONE
-        if node.value == 1:
-            return node.args[0]
+        if op == "sub" and left in _ZEROS:
+            op, args = "neg", (right,)  # then the neg rules below
+    elif op == "pow" and value in (0, 1):
+        return args[0] if value else ONE
     if op == "neg":
-        child = node.args[0]
+        child = args[0]
         if child.op == "neg":
             return child.args[0]
         if child.op == "const":
             return const(-child.value)
+    node = Expr(op, args, value)
+    _set(node, "_simplified", True)
     return node
 
 
@@ -863,17 +869,7 @@ def _prec(e: Expr) -> int:
 
 def unparse(e: Expr) -> str:
     """Render to text that parses back to an equal tree."""
-    order = _postorder(e)
-    # a text is dropped after its last use, so a deep tree holds few at once
-    uses = Counter(child for node in order for child in node.args)
-    text = {}
-    for node in order:
-        text[node] = _rendered(node, text)
-        for child in node.args:
-            uses[child] -= 1
-            if not uses[child]:
-                del text[child]
-    return text[e]
+    return _render(e, _rendered)
 
 
 def _rendered(e: Expr, text: dict) -> str:

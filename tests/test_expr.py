@@ -27,6 +27,7 @@ from varcert import (
     evaluate,
     free_vars,
     parse,
+    sample_corpus,
     shift,
     simplify,
     substitute,
@@ -47,8 +48,7 @@ from varcert.expr import (
     Y,
     Z,
     ZERO,
-    _fold,
-    _is_const,
+    _make,
     _postorder,
     _prec,
     chunked,
@@ -225,9 +225,27 @@ def _reference_simplify(e, memo):
             memo[e] = e
         else:
             node = Expr(e.op, tuple(_reference_simplify(c, memo) for c in e.args), e.value)
-            out = _fold(node)
+            out = _reference_fold(node)
             memo[e] = _reference_identities(node, memo) if out is None else out
     return memo[e]
+
+
+def _reference_fold(node):
+    if not node.args or not all(c.op == "const" for c in node.args):
+        return None
+    first, second = node.args[0].value, node.args[-1].value
+    try:
+        with np.errstate(all="ignore"):
+            out = _KERNELS[node.op](first, second, node.value)
+    except EvalDomainError:
+        return None
+    if not np.isfinite(out):
+        return None
+    return const(float(out))
+
+
+def _is_const(e, value):
+    return e.op == "const" and e.value == value
 
 
 def _reference_identities(node, memo):
@@ -411,7 +429,16 @@ def test_nodes_are_immutable():
 def test_copies_and_pickles_are_the_interned_node():
     e = parse("sin(x)*y^-2+0.25")
     assert copy.deepcopy(e) is e
+    assert copy.copy(e) is e
     assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_repr_spells_out_the_tree():
+    assert repr(parse("-sin(x)*2^-1")) == (
+        "Expr(op='mul', args=(Expr(op='neg', args=(Expr(op='sin', args=("
+        "Expr(op='var', args=(), value='x'),), value=None),), value=None), "
+        "Expr(op='pow', args=(Expr(op='const', args=(), value=2.0),), value=-1)), "
+        "value=None)")
 
 
 def test_dropped_integrand_is_collected_with_its_memos():
@@ -442,10 +469,10 @@ def test_free_vars():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
-@example(0, 1)
-def test_passes_match_the_recursive_references(seed, depth):
-    e = random_tree(np.random.default_rng(seed), depth)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
+@example(0, 1, False)
+def test_passes_match_the_recursive_references(seed, depth, rules):
+    e = random_tree(np.random.default_rng(seed), depth, rules)
     assert _postorder(e) == _reference_postorder(e, lambda n: False, lambda n: False, {})
     done, leaf = (lambda n: n.op == "const"), (lambda n: n.op in ("mul", "sin"))
     assert _postorder(e, done, leaf) == _reference_postorder(e, done, leaf, {})
@@ -488,6 +515,54 @@ def test_a_5000_term_integrand_needs_no_recursion():
     assert comparison.conjugate_point is None
     assert shifted.f is f.f and round_trip is f.f and renamed is f.f
     assert names == frozenset({"y", "z"})
+
+
+def test_a_5000_term_tree_copies_pickles_and_prints_without_recursion():
+    text = "z^2+" + "+".join(f"{k}e-8*y^2" for k in range(1, 5001))
+    f = parse(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        copied = copy.deepcopy(f)
+        pickled = pickle.loads(pickle.dumps(f))
+        printed = repr(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert copied is f and pickled is f
+    # z^2 is 2 nodes, each term adds an add, a mul, a const and y^2 (2 nodes)
+    assert printed.count("Expr(") == 2 + 5 * 5000
+    assert printed.startswith("Expr(op='add', args=(Expr(op='add', ")
+
+
+def test_diff_and_simplify_intern_only_simplified_nodes(monkeypatch):
+    # every node the passes intern is its own simplified form: no textbook
+    # derivative or unsimplified copy is built and thrown away. A new node is
+    # recorded when a diff or simplify call is on the stack.
+    import varcert.expr as expr_module
+
+    passes = {diff.__code__, simplify.__code__}
+    made = []
+    check = expr_module._check_node
+
+    def recording(op, args, value):
+        check(op, args, value)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in passes:
+            frame = frame.f_back
+        if frame is not None:
+            made.append((op, args, value))
+
+    monkeypatch.setattr(expr_module, "_check_node", recording)
+    trees = [random_tree(np.random.default_rng((5, seed)), 5, rules=True) for seed in range(300)]
+    results = [simplify(e) for e in trees]
+    results += [diff(diff(e, name), "z") for e in trees for name in VARIABLES]
+    from_trees = len(made)
+    # a corpus no other test draws, so its nodes are new; drawing it
+    # screens every instance, which takes every partial the test needs
+    sample_corpus(2, 100, 0.0, 0.6)
+    assert from_trees > 1000 and len(made) - from_trees > 1000
+    for op, args, value in made:
+        assert _make(op, args, value) is Expr(op, args, value)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,18 @@ def test_expression_functions_do_not_recurse():
                 pending.extend(refers[name])
 
 
+def test_derivatives_and_simplification_build_nodes_through_make():
+    # _make interns only the simplified node it keeps; an Expr(...) built
+    # directly in _diff or simplify would intern a node thrown away at once
+    tree = ast.parse((PACKAGE / "expr.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_diff", "simplify"):
+        built = [node.lineno for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "Expr"]
+        assert built == [], f"{name} calls Expr directly at lines {built}"
+
+
 def _declared_dependencies() -> set:
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     block = re.search(r"^dependencies = \[(.*?)^\]", text, re.M | re.S).group(1)
