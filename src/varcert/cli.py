@@ -170,6 +170,8 @@ def _load_json(path: str):
         raise CliInputError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:  # the json module recurses on nested arrays and objects
+        raise CliInputError(f"{path} is not valid JSON: nested too deeply")
 
 
 def _load_problem(path: str, grid_flag: Optional[int],
@@ -530,9 +532,6 @@ def main(argv=None) -> int:
         # CliInputError, ParseError and EvalDomainError are ValueErrors;
         # OverflowError comes from a JSON integer too large for a float
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RecursionError:
-        print("error: expression is nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

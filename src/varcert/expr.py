@@ -1,14 +1,14 @@
 """Expressions over the variables x, y, z.
 
-Immutable interned nodes, a small recursive-descent parser, exact symbolic
+Immutable interned nodes, a parser on an explicit stack, exact symbolic
 differentiation, simplification by constant folding and 0/1 identities, and
 numeric evaluation on scalars or numpy arrays by programs compiled from one
 or more expressions. One rule constructor, ``_make``, builds every node of a
 derivative or a simplified form already simplified, so neither pass interns
 a node it throws away; both results are memoised on the nodes. Every pass
 over a tree (differentiation, simplification, substitution, rendering,
-copying, compiling) walks it by ``_postorder``, on an explicit stack, so tree
-depth is bounded by memory.
+copying, compiling) walks it by ``_postorder``, on an explicit stack, and
+the parser keeps a stack of its own, so depth is bounded by memory.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import re
 import struct
 import weakref
 from collections import Counter
+from contextlib import nullcontext
 from typing import Mapping, Union
 
 import numpy as np
@@ -663,7 +664,9 @@ def _make(op: str, args: tuple = (), value=None) -> Expr:
     """
     if args and args[0].op == "const" and args[-1].op == "const":
         try:
-            with np.errstate(all="ignore"):
+            # Python floats overflow to inf quietly, and the guarded kernels
+            # raise; only numpy's sin, cos and tan of an infinity warn
+            with np.errstate(all="ignore") if op in _FUNCTIONS else nullcontext():
                 out = _KERNELS[op](args[0].value, args[-1].value, value)
         except EvalDomainError:
             pass  # left unfolded, as a non-finite result is
@@ -715,6 +718,9 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# \s matches exactly the characters for which str.isspace holds
+_SPACE = re.compile(r"\s*")
+_CARET = re.compile(r"\s*\^")
 
 
 def parse(text: str) -> Expr:
@@ -723,140 +729,113 @@ def parse(text: str) -> Expr:
     Grammar: expr := term (('+'|'-') term)*; term := factor (('*'|'/') factor)*;
     factor := atom ('^' signed-integer)?; atom := number | variable |
     fname '(' expr ')' | '(' expr ')' | '-' factor. Whitespace-insensitive.
+    A '-' written directly before a number folds into a negative constant,
+    which an exponent still binds tighter than: -2^2 is -(2^2).
+
+    One loop reads the text left to right, with a stack frame per open '('
+    or function call, so nesting depth is bounded by memory.
     """
     if not isinstance(text, str):
         raise TypeError("expression text must be a string")
-    return _Parser(text).run()
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.n = len(text)
-        self.pos = 0
-
-    def run(self) -> Expr:
-        node = self._expr()
-        self._skip()
-        if self.pos != self.n:
-            raise ParseError(self.pos, "end of input")
-        return node
-
-    def _skip(self):
-        while self.pos < self.n and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.n else ""
-
-    def _expr(self) -> Expr:
-        node = self._term()
-        while True:
-            self._skip()
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                node = Expr("add", (node, self._term()))
-            elif ch == "-":
-                self.pos += 1
-                node = Expr("sub", (node, self._term()))
-            else:
-                return node
-
-    def _term(self) -> Expr:
-        node = self._factor()
-        while True:
-            self._skip()
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
-                node = Expr("mul", (node, self._factor()))
-            elif ch == "/":
-                self.pos += 1
-                node = Expr("div", (node, self._factor()))
-            else:
-                return node
-
-    def _factor(self) -> Expr:
-        node = self._atom()
-        self._skip()
-        if self._peek() == "^":
-            self.pos += 1
-            node = Expr("pow", (node,), self._exponent())
-        return node
-
-    def _exponent(self) -> int:
-        self._skip()
-        start = self.pos
-        if self._peek() in "+-":
-            self.pos += 1
-        first_digit = self.pos
-        while self._peek().isdigit():
-            self.pos += 1
-        if self.pos == first_digit:
-            self.pos = start
-            raise ParseError(start, "integer exponent")
-        if self._peek() == ".":
-            self.pos = start
-            raise ParseError(start, "integer exponent (no decimal point)")
-        return int(self.text[start:self.pos])
-
-    def _atom(self) -> Expr:
-        self._skip()
-        ch = self._peek()
-        if ch == "":
-            raise ParseError(self.pos, "an operand")
-        if ch == "(":
-            self.pos += 1
-            node = self._expr()
-            self._close_paren()
-            return node
+    stack = []
+    # the open group: the function applied when it closes (None for a bare
+    # '(' and for the whole text), its partial sum and partial product, each
+    # with the operator that joins the next operand to it (None before the
+    # first operand), and the prefix minuses still waiting for their factor
+    group, total, add, product, mul, minuses = None, None, None, None, None, 0
+    pos = 0
+    while True:
+        # read on to an atom, opening groups on the way
+        ch = text[pos:pos + 1]
+        if ch.isspace():
+            pos = _SPACE.match(text, pos).end()
+            ch = text[pos:pos + 1]
         if ch == "-":
-            self.pos += 1
-            nxt = self._peek()
-            if nxt.isdigit() or nxt == ".":
-                # fold a directly attached literal into a negative constant so
-                # that rendered constants like -2.5 round-trip; an exponent
-                # still binds tighter than the sign
-                value = self._number()
-                self._skip()
-                if self._peek() == "^":
-                    self.pos += 1
-                    return Expr("neg", (Expr("pow", (const(value),), self._exponent()),))
-                return const(-value)
-            return Expr("neg", (self._factor(),))
+            pos += 1
+            minuses += 1
+            continue
         if ch.isdigit() or ch == ".":
-            return const(self._number())
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            match = _NAME.match(self.text, self.pos)
-            name = match.group(0)
-            self.pos = match.end()
-            if name in VARIABLES:
-                return var(name)
-            if name in _FUNCTIONS:
-                self._skip()
-                if self._peek() != "(":
-                    raise ParseError(self.pos, f"'(' after {name}")
-                self.pos += 1
-                inner = self._expr()
-                self._close_paren()
-                return Expr(name, (inner,))
-            raise ParseError(start, "a known function or variable name")
-        raise ParseError(self.pos, "an operand")
+            match = _NUMBER.match(text, pos)
+            if match is None:
+                raise ParseError(pos, "a number")
+            value = float(match.group(0))
+            if minuses and text[pos - 1] == "-" and not _CARET.match(text, match.end()):
+                # a number directly after a prefix minus takes it as its
+                # sign, so that rendered constants like -2.5 round-trip; an
+                # exponent still binds tighter than the sign
+                value, minuses = -value, minuses - 1
+            node, pos = const(value), match.end()
+        elif ch == "(" or ch.isalpha() or ch == "_":
+            name = None
+            if ch != "(":
+                match = _NAME.match(text, pos)
+                name = match.group(0)
+                if name in VARIABLES:
+                    node, pos = var(name), match.end()
+                elif name not in _FUNCTIONS:
+                    raise ParseError(pos, "a known function or variable name")
+                else:
+                    pos = _SPACE.match(text, match.end()).end()
+                    if text[pos:pos + 1] != "(":
+                        raise ParseError(pos, f"'(' after {name}")
+            if name not in VARIABLES:  # a '(', bare or after a function name
+                stack.append((group, total, add, product, mul, minuses))
+                group, total, add, product, mul, minuses = name, None, None, None, None, 0
+                pos += 1
+                continue
+        else:
+            raise ParseError(pos, "an operand")
+        # the atom ends a factor, and perhaps a term, the group and more groups
+        while True:
+            # an exponent, then each minus, innermost first, and its exponent
+            powered = False
+            while True:
+                ch = text[pos:pos + 1]
+                if ch.isspace():
+                    pos = _SPACE.match(text, pos).end()
+                    ch = text[pos:pos + 1]
+                if ch == "^" and not powered:
+                    node, pos = _power(text, pos + 1, node)
+                    powered = True
+                elif minuses:
+                    node, minuses, powered = Expr("neg", (node,)), minuses - 1, False
+                else:
+                    break
+            product = node if mul is None else Expr(mul, (product, node))
+            if ch == "*" or ch == "/":
+                mul = "mul" if ch == "*" else "div"
+                pos += 1
+                break
+            total = product if add is None else Expr(add, (total, product))
+            if ch == "+" or ch == "-":
+                add, mul = ("add" if ch == "+" else "sub"), None
+                pos += 1
+                break
+            if not stack:
+                if pos != len(text):
+                    raise ParseError(pos, "end of input")
+                return total
+            if ch != ")":
+                raise ParseError(pos, "')'")
+            pos += 1
+            node = total if group is None else Expr(group, (total,))
+            group, total, add, product, mul, minuses = stack.pop()
 
-    def _close_paren(self):
-        self._skip()
-        if self._peek() != ")":
-            raise ParseError(self.pos, "')'")
-        self.pos += 1
 
-    def _number(self) -> float:
-        match = _NUMBER.match(self.text, self.pos)
-        if match is None:
-            raise ParseError(self.pos, "a number")
-        self.pos = match.end()
-        return float(match.group(0))
+def _power(text: str, pos: int, base: Expr) -> tuple:
+    """base^k for the signed integer k at pos, just past a '^', and the
+    offset after it."""
+    start = pos = _SPACE.match(text, pos).end()
+    if text.startswith(("+", "-"), pos):
+        pos += 1
+    first_digit = pos
+    while text[pos:pos + 1].isdigit():
+        pos += 1
+    if pos == first_digit:
+        raise ParseError(start, "integer exponent")
+    if text[pos:pos + 1] == ".":
+        raise ParseError(start, "integer exponent (no decimal point)")
+    return Expr("pow", (base,), int(text[start:pos])), pos
 
 
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}

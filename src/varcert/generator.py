@@ -29,6 +29,7 @@ from .expr import (
     Y,
     ZERO,
     Expr,
+    Program,
     _postorder,
     const,
     diff,
@@ -139,29 +140,26 @@ class BuildInfo:
 _POLY_OPS = frozenset({"const", "var", "add", "sub", "mul", "neg", "pow"})
 
 
-def _is_polynomial(e: Expr) -> bool:
-    """Polynomial in x: only +, -, *, neg, nonnegative integer powers."""
-    return free_vars(e) <= {"x"} and all(
-        node.op in _POLY_OPS and (node.op != "pow" or node.value >= 0) for node in _postorder(e))
-
-
 def _is_zero(e: Expr) -> bool:
     # by value: interned nodes keep const(-0.0) apart from ZERO
     return e.op == "const" and e.value == 0.0
 
 
 def _poly_coefficients(e: Expr) -> Optional[list]:
-    """Power-basis coefficients via repeated exact differentiation at x = 0."""
+    """Power-basis coefficients via repeated exact differentiation at x = 0;
+    None past _MAX_POLY_TERMS of them."""
+    chain = [simplify(e)]
+    while not _is_zero(chain[-1]) and len(chain) <= _MAX_POLY_TERMS:
+        chain.append(diff(chain[-1], "x"))
+    values = Program(chain[:-1])({"x": 0.0})
+    if len(chain) > _MAX_POLY_TERMS:
+        return None
     coefficients = []
-    current = simplify(e)
     factorial = 1.0
-    for k in range(_MAX_POLY_TERMS):
-        if _is_zero(current):
-            return coefficients
-        coefficients.append(float(evaluate(current, {"x": 0.0})) / factorial)
-        current = diff(current, "x")
+    for k, value in enumerate(values):
+        coefficients.append(float(value) / factorial)
         factorial *= k + 1.0
-    return None
+    return coefficients
 
 
 def _horner(coefficients: list, variable: Expr) -> Expr:
@@ -197,76 +195,95 @@ def antiderivative(e: Expr) -> Optional[Expr]:
     e = simplify(e)
     if free_vars(e) - {"x"}:
         return None
-    return _anti(e)
+    # polynomial in x: only +, -, *, neg, nonnegative integer powers
+    polynomial = {}
+    for node in _postorder(e):
+        polynomial[node] = (node.op in _POLY_OPS and (node.op != "pow" or node.value >= 0)
+                            and all(map(polynomial.get, node.args)))
+    anti = {}
+    # the walk enters a node only when its rule waits for its children
+    for node in _postorder(e, leaf=lambda n: _anti(n, anti, polynomial)):
+        if node not in anti:
+            _anti(node, anti, polynomial)
+    return anti[e]
 
 
-def _anti(e: Expr) -> Optional[Expr]:
+def _anti(e: Expr, anti: dict, polynomial: dict) -> bool:
+    """Put e's antiderivative, or None outside the table, in ``anti`` and
+    return True; return False instead while the children's antiderivatives
+    that e's is built from are not all there. Those are the children of
+    neg, add and sub, and the non-constant side of a mul by a constant or
+    of a div by one.
+    """
     if not free_vars(e):
-        return simplify(Expr("mul", (e, X)))
-    if _is_polynomial(e):
+        anti[e] = simplify(Expr("mul", (e, X)))
+        return True
+    if polynomial[e]:
         coefficients = _poly_coefficients(e)
         if coefficients is not None:
             shifted = [c / (k + 1.0) for k, c in enumerate(coefficients)]
-            return simplify(Expr("mul", (X, _horner(shifted, X))))
+            anti[e] = simplify(Expr("mul", (X, _horner(shifted, X))))
+            return True
     op = e.op
-    if op == "neg":
-        inner = _anti(e.args[0])
-        return None if inner is None else Expr("neg", (inner,))
-    if op in ("add", "sub"):
-        left = _anti(e.args[0])
-        right = _anti(e.args[1])
-        if left is None or right is None:
-            return None
-        return Expr(op, (left, right))
-    if op == "mul":
-        left, right = e.args
-        if not free_vars(left):
-            inner = _anti(right)
-            return None if inner is None else Expr("mul", (left, inner))
-        if not free_vars(right):
-            inner = _anti(left)
-            return None if inner is None else Expr("mul", (right, inner))
-        if _is_polynomial(left) and _oscillator_slope(right) is not None:
-            return _anti_product(left, right)
-        if _is_polynomial(right) and _oscillator_slope(left) is not None:
-            return _anti_product(right, left)
-        return None
-    if op in ("sin", "cos", "exp"):
-        slope = _affine_slope(e.args[0])
-        if slope is None or slope == 0.0:
-            return None
-        if op == "sin":
-            return simplify(Expr("div", (Expr("neg", (Expr("cos", e.args),)), const(slope))))
-        if op == "cos":
-            return simplify(Expr("div", (Expr("sin", e.args), const(slope))))
-        return simplify(Expr("div", (e, const(slope))))
-    if op == "pow":
-        base = e.args[0]
+    left, right = e.args[0], e.args[-1]
+    out = None
+    if op in ("neg", "add", "sub"):
+        if not all(child in anti for child in e.args):
+            return False
+        parts = tuple(anti[child] for child in e.args)
+        if None not in parts:
+            out = Expr(op, parts)
+    elif op == "mul" and not free_vars(left) or op in ("mul", "div") and not free_vars(right):
+        constant, varying = (left, right) if not free_vars(left) else (right, left)
+        if varying not in anti:
+            return False
+        inner = anti[varying]
+        if inner is not None:
+            out = Expr(op, (inner, constant) if op == "div" else (constant, inner))
+    elif op == "mul":
+        if polynomial[left] and _oscillator_slope(right) is not None:
+            out = _anti_product(left, right)
+        elif polynomial[right] and _oscillator_slope(left) is not None:
+            out = _anti_product(right, left)
+    elif op in ("sin", "cos", "exp"):
+        if _oscillator_slope(e) is not None:
+            out = _anti_oscillator(e)
+    elif op == "pow":
         n = e.value
-        slope = _affine_slope(base)
-        if slope is None or slope == 0.0 or n == -1:
-            return None
-        return simplify(Expr("div", (Expr("pow", (base,), n + 1), const(slope * (n + 1)))))
-    if op == "div":
-        num, den = e.args
-        if not free_vars(den):
-            inner = _anti(num)
-            return None if inner is None else Expr("div", (inner, den))
-        return None
-    return None
+        slope = _affine_slope(left)
+        if not (slope is None or slope == 0.0 or n == -1):
+            out = simplify(Expr("div", (Expr("pow", (left,), n + 1), const(slope * (n + 1)))))
+    anti[e] = out
+    return True
+
+
+def _anti_oscillator(e: Expr) -> Expr:
+    # sin, cos or exp of an affine argument of nonzero slope
+    slope = _oscillator_slope(e)
+    if e.op == "sin":
+        return simplify(Expr("div", (Expr("neg", (Expr("cos", e.args),)), const(slope))))
+    if e.op == "cos":
+        return simplify(Expr("div", (Expr("sin", e.args), const(slope))))
+    return simplify(Expr("div", (e, const(slope))))
 
 
 def _anti_product(poly: Expr, oscillator: Expr) -> Optional[Expr]:
     # integral of p g = p G1 - p' G2 + p'' G3 - ... where G_{k+1} integrates G_k;
-    # the chain stays inside the capability table, the polynomial dies off
+    # each G_k is neg and divide-by-constant wrappers around a sin, cos or
+    # exp of g's argument, and G_{k+1} is the same wrappers around that
+    # oscillator's antiderivative; the polynomial dies off
     result = None
     current = simplify(poly)
     chain = oscillator
     positive = True
     for _ in range(_MAX_POLY_TERMS):
-        chain = _anti(chain)
-        if chain is None:
-            return None
+        wrappers = []
+        while chain.op in ("neg", "div"):
+            wrappers.append(chain)
+            chain = chain.args[0]
+        chain = _anti_oscillator(chain)
+        for wrapper in reversed(wrappers):
+            chain = Expr(wrapper.op, (chain,) + wrapper.args[1:])
         term = Expr("mul", (current, chain))
         if result is None:
             result = term

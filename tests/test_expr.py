@@ -4,7 +4,9 @@ import copy
 import gc
 import math
 import pickle
+import re
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -43,6 +45,7 @@ from varcert.expr import (
     CHUNK,
     ONE,
     VARIABLES,
+    _FUNCTIONS,
     Program,
     X,
     Y,
@@ -354,6 +357,138 @@ def _reference_x_parts(f):
     return tuple(parts)
 
 
+class _ReferenceParser:
+    """The recursive-descent parser that parse replaces."""
+
+    _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+    _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+    def __init__(self, text):
+        self.text = text
+        self.n = len(text)
+        self.pos = 0
+
+    def run(self):
+        node = self._expr()
+        self._skip()
+        if self.pos != self.n:
+            raise ParseError(self.pos, "end of input")
+        return node
+
+    def _skip(self):
+        while self.pos < self.n and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _peek(self):
+        return self.text[self.pos] if self.pos < self.n else ""
+
+    def _expr(self):
+        node = self._term()
+        while True:
+            self._skip()
+            ch = self._peek()
+            if ch == "+":
+                self.pos += 1
+                node = Expr("add", (node, self._term()))
+            elif ch == "-":
+                self.pos += 1
+                node = Expr("sub", (node, self._term()))
+            else:
+                return node
+
+    def _term(self):
+        node = self._factor()
+        while True:
+            self._skip()
+            ch = self._peek()
+            if ch == "*":
+                self.pos += 1
+                node = Expr("mul", (node, self._factor()))
+            elif ch == "/":
+                self.pos += 1
+                node = Expr("div", (node, self._factor()))
+            else:
+                return node
+
+    def _factor(self):
+        node = self._atom()
+        self._skip()
+        if self._peek() == "^":
+            self.pos += 1
+            node = Expr("pow", (node,), self._exponent())
+        return node
+
+    def _exponent(self):
+        self._skip()
+        start = self.pos
+        if self._peek() in "+-":
+            self.pos += 1
+        first_digit = self.pos
+        while self._peek().isdigit():
+            self.pos += 1
+        if self.pos == first_digit:
+            self.pos = start
+            raise ParseError(start, "integer exponent")
+        if self._peek() == ".":
+            self.pos = start
+            raise ParseError(start, "integer exponent (no decimal point)")
+        return int(self.text[start:self.pos])
+
+    def _atom(self):
+        self._skip()
+        ch = self._peek()
+        if ch == "":
+            raise ParseError(self.pos, "an operand")
+        if ch == "(":
+            self.pos += 1
+            node = self._expr()
+            self._close_paren()
+            return node
+        if ch == "-":
+            self.pos += 1
+            nxt = self._peek()
+            if nxt.isdigit() or nxt == ".":
+                value = self._number()
+                self._skip()
+                if self._peek() == "^":
+                    self.pos += 1
+                    return Expr("neg", (Expr("pow", (const(value),), self._exponent()),))
+                return const(-value)
+            return Expr("neg", (self._factor(),))
+        if ch.isdigit() or ch == ".":
+            return const(self._number())
+        if ch.isalpha() or ch == "_":
+            start = self.pos
+            match = self._NAME.match(self.text, self.pos)
+            name = match.group(0)
+            self.pos = match.end()
+            if name in VARIABLES:
+                return var(name)
+            if name in _FUNCTIONS:
+                self._skip()
+                if self._peek() != "(":
+                    raise ParseError(self.pos, f"'(' after {name}")
+                self.pos += 1
+                inner = self._expr()
+                self._close_paren()
+                return Expr(name, (inner,))
+            raise ParseError(start, "a known function or variable name")
+        raise ParseError(self.pos, "an operand")
+
+    def _close_paren(self):
+        self._skip()
+        if self._peek() != ")":
+            raise ParseError(self.pos, "')'")
+        self.pos += 1
+
+    def _number(self):
+        match = self._NUMBER.match(self.text, self.pos)
+        if match is None:
+            raise ParseError(self.pos, "a number")
+        self.pos = match.end()
+        return float(match.group(0))
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 
@@ -606,6 +741,86 @@ def test_whitespace_is_insignificant():
     assert parse(" 1 + 2 * x ") == parse("1+2*x")
 
 
+def _reference_parse(text):
+    return _ReferenceParser(text).run()
+
+
+def _parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return exc.offset, exc.expected
+    except (ValueError, AttributeError) as exc:
+        # int() of a superscript digit, _NAME on a non-ASCII letter
+        return type(exc), str(exc)
+
+
+# the pieces texts are made of, with characters on which str methods and
+# the regexes disagree: a superscript digit, a non-ASCII digit and letter,
+# and a separator that is whitespace
+_TOKENS = ["x", "y", "z", "q", "_a", "sin", "cos(", "exp(", "sqrt", "(", ")", "+", "-", "*",
+           "/", "^", "2", "0.5", "1e3", "1e", "3.", ".", "e", " ", "\t", "\x1c", "\u00b2",
+           "\u0663", "\u00e9"]
+_space = st.sampled_from(["", "", "", " ", "\t", "\x1c"])
+_operands = st.sampled_from(["x", "y", "z", "2", "0.5", ".5", "3.", "1e-3", "2.5E+2", "\u0663"])
+
+
+def _grammar(inner):
+    return st.one_of(
+        st.tuples(inner, _space, st.sampled_from("+-*/"), _space, inner).map("".join),
+        st.tuples(st.sampled_from(["("] + [f"{name}(" for name in _FUNCTIONS]), _space, inner,
+                  _space, st.just(")")).map("".join),
+        st.tuples(st.just("-"), _space, inner).map("".join),
+        st.tuples(inner, _space, st.just("^"), _space,
+                  st.sampled_from(["2", "-1", "+3", "0", "12"])).map("".join),
+    )
+
+
+_valid_texts = st.recursive(_operands, _grammar, max_leaves=12)
+_malformed_texts = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+    st.tuples(_valid_texts, st.integers(0, 60), st.sampled_from(_TOKENS), st.integers(0, 2))
+    .map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + t[3]:]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_valid_texts, _malformed_texts))
+@example("-2.5")
+@example("-2^2")
+@example("x^2^3")
+@example("-x^2^3")
+@example("--2 ^3^4*- 2")
+@example("sin (x) ^ -2")
+@example("x^ - 2")
+def test_parse_matches_the_recursive_reference(text):
+    # the same node, or the same (offset, expected)
+    assert _parse_outcome(parse, text) == _parse_outcome(_reference_parse, text)
+
+
+def test_deep_texts_parse_without_recursion():
+    n = 10000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        long_sum = parse("+".join(["x"] * 100000))
+        parentheses = parse("(" * n + "x" + ")" * n)
+        sines = parse("sin(" * n + "x" + ")" * n)
+        minuses = parse("-" * n + "x")
+    finally:
+        sys.setrecursionlimit(limit)
+    want = X
+    for _ in range(100000 - 1):
+        want = Expr("add", (want, X))
+    assert long_sum is want
+    assert parentheses is X
+    for op, got in (("sin", sines), ("neg", minuses)):
+        want = X
+        for _ in range(n):
+            want = Expr(op, (want,))
+        assert got is want
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -678,6 +893,19 @@ def test_simplify_identities():
     # 0 - u becomes -u, and the neg rules then apply to it
     assert simplify(parse("0-(-x)")) == X
     assert simplify(parse("0-y")) == Expr("neg", (Y,))
+
+
+def test_folds_raise_no_warning():
+    # Python floats overflow to inf quietly and the guarded kernels raise,
+    # so only the folds of numpy's functions need numpy's warnings silenced
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in ("sin", "cos", "tan"):
+            assert _make(op, (const(math.inf),)) is Expr(op, (const(math.inf),))
+        assert _make("exp", (const(1000.0),)) is Expr("exp", (const(1000.0),))
+        for node in (const(1e308) + 1e308, const(math.inf) - math.inf, const(1e308) * 10,
+                     const(1e308) / 1e-308):
+            assert _make(node.op, node.args) is node
 
 
 def test_simplify_leaves_domain_errors_unfolded():

@@ -1,6 +1,7 @@
 """Inverse-problem construction and the deterministic corpus."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,10 +27,10 @@ from varcert import (
     unparse,
 )
 from varcert.certify import MINIMUM_KINDS
-from varcert.expr import ZERO
+from varcert.expr import ZERO, X, Expr, _postorder, const, free_vars
 from varcert.variational import certify_samples
 
-from conftest import eval_at
+from conftest import eval_at, random_tree
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,7 @@ def _check_antiderivative(rate_text, a=-1.0, b=2.0):
     return closed
 
 
-@pytest.mark.parametrize("rate_text", [
+_CLOSED_FORMS = [
     "3",
     "x^3-2*x",
     "(1+x)*(2-x)",
@@ -84,7 +85,10 @@ def _check_antiderivative(rate_text, a=-1.0, b=2.0):
     "2*sin(x)-3*cos(2*x)",
     "sin(x)/4",
     "0.5*x^2*sin(0.7*x+0.2)",
-])
+]
+
+
+@pytest.mark.parametrize("rate_text", _CLOSED_FORMS)
 def test_antiderivative_closed_forms(rate_text):
     _check_antiderivative(rate_text)
 
@@ -110,6 +114,189 @@ def test_antiderivative_outside_capability(rate_text):
 
 def test_antiderivative_requires_x_only():
     assert antiderivative(parse("x*y")) is None
+
+
+# The recursive capability table that antiderivative replaces, kept as the
+# reference; self-contained but for the expression core.
+
+_REFERENCE_MAX_TERMS = 64
+_REFERENCE_POLY_OPS = frozenset({"const", "var", "add", "sub", "mul", "neg", "pow"})
+
+
+def _reference_is_polynomial(e):
+    return free_vars(e) <= {"x"} and all(
+        node.op in _REFERENCE_POLY_OPS and (node.op != "pow" or node.value >= 0)
+        for node in _postorder(e))
+
+
+def _reference_is_zero(e):
+    return e.op == "const" and e.value == 0.0
+
+
+def _reference_poly_coefficients(e):
+    coefficients = []
+    current = simplify(e)
+    factorial = 1.0
+    for k in range(_REFERENCE_MAX_TERMS):
+        if _reference_is_zero(current):
+            return coefficients
+        coefficients.append(float(evaluate(current, {"x": 0.0})) / factorial)
+        current = diff(current, "x")
+        factorial *= k + 1.0
+    return None
+
+
+def _reference_horner(coefficients, variable):
+    acc = const(float(coefficients[-1]))
+    for c in reversed(coefficients[:-1]):
+        acc = Expr("add", (const(float(c)), Expr("mul", (variable, acc))))
+    return acc
+
+
+def _reference_affine_slope(e):
+    d = diff(e, "x")
+    return d.value if d.op == "const" else None
+
+
+def _reference_oscillator_slope(e):
+    if e.op in ("sin", "cos", "exp"):
+        slope = _reference_affine_slope(e.args[0])
+        if slope is not None and slope != 0.0:
+            return slope
+    return None
+
+
+def _reference_antiderivative(e):
+    e = simplify(e)
+    if free_vars(e) - {"x"}:
+        return None
+    return _reference_anti(e)
+
+
+def _reference_anti(e):
+    if not free_vars(e):
+        return simplify(Expr("mul", (e, X)))
+    if _reference_is_polynomial(e):
+        coefficients = _reference_poly_coefficients(e)
+        if coefficients is not None:
+            shifted = [c / (k + 1.0) for k, c in enumerate(coefficients)]
+            return simplify(Expr("mul", (X, _reference_horner(shifted, X))))
+    op = e.op
+    if op == "neg":
+        inner = _reference_anti(e.args[0])
+        return None if inner is None else Expr("neg", (inner,))
+    if op in ("add", "sub"):
+        left = _reference_anti(e.args[0])
+        right = _reference_anti(e.args[1])
+        if left is None or right is None:
+            return None
+        return Expr(op, (left, right))
+    if op == "mul":
+        left, right = e.args
+        if not free_vars(left):
+            inner = _reference_anti(right)
+            return None if inner is None else Expr("mul", (left, inner))
+        if not free_vars(right):
+            inner = _reference_anti(left)
+            return None if inner is None else Expr("mul", (right, inner))
+        if _reference_is_polynomial(left) and _reference_oscillator_slope(right) is not None:
+            return _reference_anti_product(left, right)
+        if _reference_is_polynomial(right) and _reference_oscillator_slope(left) is not None:
+            return _reference_anti_product(right, left)
+        return None
+    if op in ("sin", "cos", "exp"):
+        slope = _reference_affine_slope(e.args[0])
+        if slope is None or slope == 0.0:
+            return None
+        if op == "sin":
+            return simplify(Expr("div", (Expr("neg", (Expr("cos", e.args),)), const(slope))))
+        if op == "cos":
+            return simplify(Expr("div", (Expr("sin", e.args), const(slope))))
+        return simplify(Expr("div", (e, const(slope))))
+    if op == "pow":
+        base = e.args[0]
+        n = e.value
+        slope = _reference_affine_slope(base)
+        if slope is None or slope == 0.0 or n == -1:
+            return None
+        return simplify(Expr("div", (Expr("pow", (base,), n + 1), const(slope * (n + 1)))))
+    if op == "div":
+        num, den = e.args
+        if not free_vars(den):
+            inner = _reference_anti(num)
+            return None if inner is None else Expr("div", (inner, den))
+    return None
+
+
+def _reference_anti_product(poly, oscillator):
+    result = None
+    current = simplify(poly)
+    chain = oscillator
+    positive = True
+    for _ in range(_REFERENCE_MAX_TERMS):
+        chain = _reference_anti(chain)
+        if chain is None:
+            return None
+        term = Expr("mul", (current, chain))
+        result = term if result is None else Expr("add" if positive else "sub", (result, term))
+        current = diff(current, "x")
+        if _reference_is_zero(current):
+            return simplify(result)
+        positive = not positive
+    return None
+
+
+def _outcome(fn, e):
+    try:
+        return fn(e)
+    except Exception as exc:  # the same error, raised at the same point
+        return type(exc), str(exc)
+
+
+_TABLE_CASES = _CLOSED_FORMS + [
+    "exp(x^2)", "sin(x)*cos(x)", "x^-1", "sin(x^2)", "exp(sin(x))", "x*y",
+    "x^70+x", "x^70*sin(x)", "-(x*exp(x))", "(x+1)*sin(x)*3", "sin(2*x)*x^3/5-4*cos(x)*x",
+    "exp(x/3)*(x^2-1)", "-2*(x^2*cos(1-x))/3", "1/x", "tan(x)", "sin(x)/x", "ln(2)*sin(x)",
+    "(3+ln(-1))*x", "sin(x)^2", "(1e200*x*1e200)*x", "x^70*(1e200*x*1e200)",
+    "cos(x)*(1+x)^4", "x^65",
+    "+".join(f"sin({k}*x)" for k in range(1, 200)),
+]
+
+
+@pytest.mark.parametrize("rate_text", _TABLE_CASES)
+def test_antiderivative_matches_the_recursive_reference(rate_text):
+    e = parse(rate_text)
+    assert _outcome(antiderivative, e) == _outcome(_reference_antiderivative, e)
+
+
+def test_antiderivative_matches_the_reference_on_corpus_and_random_rates(corpus100):
+    rates = [simplify(substitute(diff(spec.P, "y"), {"y": ZERO})) for spec, _, _ in corpus100]
+    rates += [substitute(random_tree(np.random.default_rng((11, seed)), 5, rules=True),
+                         {"y": X, "z": X}) for seed in range(300)]
+    closed = 0
+    for e in rates:
+        want = _outcome(_reference_antiderivative, e)
+        assert _outcome(antiderivative, e) == want
+        closed += isinstance(want, Expr)
+    assert closed > 150
+
+
+def test_a_2000_term_antiderivative_needs_no_recursion():
+    terms = [parse(f"sin({k}*x)") for k in range(1, 2001)]
+    rate = terms[0]
+    for term in terms[1:]:
+        rate = Expr("add", (rate, term))
+    # the reference's sum rule, applied term by term
+    want = _reference_antiderivative(terms[0])
+    for term in terms[1:]:
+        want = Expr("add", (want, _reference_antiderivative(term)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = antiderivative(rate)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got is want
 
 
 # ---------------------------------------------------------------------------

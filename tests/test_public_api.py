@@ -124,25 +124,81 @@ def test_every_export_has_a_caller_in_the_package():
     assert sorted(set(varcert.__all__) - called) == sorted(CALLED_BY_ACCEPTANCE_ONLY)
 
 
-def test_expression_functions_do_not_recurse():
-    # every pass over a tree walks it on an explicit stack, so no module-level
-    # function of expr.py may reach itself, directly or through others; a
-    # reference that is not a call (map(f, ...)) counts. The parser is a
-    # class, and its methods are exempt.
-    tree = ast.parse((PACKAGE / "expr.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    refers = {name: {node.id for node in ast.walk(function)
-                     if isinstance(node, ast.Name) and node.id in functions}
-              for name, function in functions.items()}
-    for start in functions:
+def _own_nodes(scope: ast.AST):
+    """The nodes in scope, down to nested functions and classes but not into
+    them; a lambda is part of the scope."""
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def _call_graph() -> dict:
+    """Every function and method in the package, by its dotted name below
+    the package, with the functions and methods it refers to: by a name, as
+    Python resolves it, or, in a method, through self.<name>. A reference
+    that is not a call (map(f, ...)) counts too."""
+    found = {}  # dotted name -> (node, the scopes its names resolve in, its class)
+    imported = {}
+    for path in PACKAGE.glob("*.py"):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported[module] = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+                            for node in tree.body
+                            if isinstance(node, ast.ImportFrom) and node.level == 1
+                            for alias in node.names}
+        # a class body is not a scope its methods' names resolve in
+        pending = [(tree, module, (module,), None)]
+        while pending:
+            scope, name, scopes, owner = pending.pop()
+            for node in _own_nodes(scope):
+                if isinstance(node, ast.ClassDef):
+                    pending.append((node, f"{name}.{node.name}", scopes, f"{name}.{node.name}"))
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    dotted = f"{name}.{node.name}"
+                    found[dotted] = (node, (dotted,) + scopes, owner)
+                    pending.append((node, dotted, (dotted,) + scopes, owner))
+    graph = {}
+    for dotted, (function, scopes, owner) in found.items():
+        module = scopes[-1]
+        refers = graph[dotted] = set()
+        for node in _own_nodes(function):
+            if isinstance(node, ast.Name):
+                for target in [f"{scope}.{node.id}" for scope in scopes] + [
+                        imported[module].get(node.id)]:
+                    if target in found:
+                        refers.add(target)
+                        break
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "self" and f"{owner}.{node.attr}" in found):
+                refers.add(f"{owner}.{node.attr}")
+    return graph
+
+
+def _self_reaching(graph: dict) -> set:
+    reaching = set()
+    for start in graph:
         reached = set()
-        pending = list(refers[start])
+        pending = list(graph[start])
         while pending:
             name = pending.pop()
-            assert name != start, f"{start} reaches itself"
             if name not in reached:
                 reached.add(name)
-                pending.extend(refers[name])
+                pending.extend(graph[name])
+        if start in reached:
+            reaching.add(start)
+    return reaching
+
+
+def test_no_function_or_method_recurses():
+    # every pass over an expression walks it on an explicit stack and the
+    # parser keeps its own, so depth is bounded by memory, not by the
+    # recursion limit. The one exemption, cli._render, recurses over the
+    # nesting of a report the CLI builds, whose shape is fixed by the code
+    # and never follows the input.
+    assert _self_reaching(_call_graph()) == {"cli._render"}
 
 
 def test_derivatives_and_simplification_build_nodes_through_make():
