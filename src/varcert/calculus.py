@@ -85,7 +85,11 @@ def integrate(values, grid: Grid) -> float:
         raise ValueError(f"expected {grid.n + 1} node values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("node values must be finite")
-    return float(grid.h / 3.0 * np.dot(_simpson_weights(grid.n), v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(grid.h / 3.0 * np.dot(_simpson_weights(grid.n), v))
+    if not math.isfinite(total):
+        raise ValueError("integral overflowed")
+    return total
 
 
 def h1_norm_sq(path: SampledPath) -> float:
@@ -120,10 +124,11 @@ def cumulative_integral(rate: Callable[[np.ndarray], np.ndarray], grid: Grid) ->
     at_mids = np.asarray(rate(grid.midpoints), dtype=float)
     if at_nodes.shape != (grid.n + 1,) or at_mids.shape != (grid.n,):
         raise ValueError("rate callable must be vectorized over abscissae")
-    cells = grid.h / 6.0 * (at_nodes[:-1] + 4.0 * at_mids + at_nodes[1:])
     out = np.empty(grid.n + 1)
     out[0] = 0.0
-    np.cumsum(cells, out=out[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = grid.h / 6.0 * (at_nodes[:-1] + 4.0 * at_mids + at_nodes[1:])
+        np.cumsum(cells, out=out[1:])
     if not np.all(np.isfinite(out)):
         raise ValueError("cumulative integral produced non-finite values")
     return out

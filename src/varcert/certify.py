@@ -80,7 +80,7 @@ def classify(p_min: float, q_min: float, el_max: float, a: float, b: float,
     """
     if not 0.0 <= el_tol < math.inf:
         raise ValueError("el_tol must be a finite non-negative number")
-    if el_max > el_tol:
+    if not el_max <= el_tol:  # a nan residual fails too
         return Verdict(VerdictKind.EL_FAILED, el_max)
     if p_min <= 0.0:
         return Verdict(VerdictKind.LEGENDRE_FAILED, el_max)
@@ -180,7 +180,7 @@ def functional_value(f: Integrand, path: SampledPath,
     if x_values is not None:
         env.update(zip(f.x_parts, x_values))
         program = f.x_parts_program
-    (values,) = program.sample(env, xs)
+    (values,) = program(env)
     return integrate(values, path.grid)
 
 
@@ -188,6 +188,7 @@ SINE_BASIS = "sine-basis"
 RANDOM_SPLINE = "random-spline"
 
 _DEFAULT_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+_SPLINE_KNOTS = 8  # interior knots of each random spline
 
 
 @dataclass(frozen=True)
@@ -195,15 +196,14 @@ class PerturbationFamily:
     """Zero-boundary test directions with unit C1 size and an epsilon ladder.
 
     ``count`` is the number of sine modes or of random splines; splines are
-    clamped cubics through ``knots`` interior knots with values drawn from a
-    seeded generator.
+    clamped cubics through ``_SPLINE_KNOTS`` interior knots with values
+    drawn from a seeded generator.
     """
 
     kind: str
     count: int = 8
     seed: int = 0
     ladder: tuple = _DEFAULT_LADDER
-    knots: int = 8
 
     def __post_init__(self):
         if self.kind not in (SINE_BASIS, RANDOM_SPLINE):
@@ -218,8 +218,6 @@ class PerturbationFamily:
         if any(hi <= lo for hi, lo in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be strictly decreasing")
         object.__setattr__(self, "ladder", ladder)
-        if self.knots < 2:
-            raise ValueError("knots must be >= 2")
 
     def paths(self, grid: Grid):
         """The (label, SampledPath) perturbations in a fixed order.
@@ -240,8 +238,8 @@ class PerturbationFamily:
 
     def _spline(self, i: int, grid: Grid):
         rng = np.random.default_rng((self.seed, i))
-        knots = _snapped_knots(grid, self.knots)
-        values = rng.uniform(-1.0, 1.0, self.knots + 2)
+        knots = _snapped_knots(grid, _SPLINE_KNOTS)
+        values = rng.uniform(-1.0, 1.0, _SPLINE_KNOTS + 2)
         values[0] = 0.0
         values[-1] = 0.0
         return (f"spline-{i}", _normalized(grid, *_clamped_spline(knots, values, grid.nodes)))
@@ -345,14 +343,14 @@ class EmpiricalReport:
 
 
 def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
-                     fam: PerturbationFamily, grid: Grid,
-                     abs_tol: Optional[float] = None) -> EmpiricalReport:
+                     fam: PerturbationFamily, grid: Grid) -> EmpiricalReport:
     """Probe the certified quadratic lower bound with concrete perturbations.
 
     For each direction and each ladder rung epsilon, checks
     gap(y0 + eps eta) >= c * h1_norm_sq(eps eta) - abs_tol and records, per
-    direction, the largest rung from which every smaller rung passes.
-    Violations are report content, not exceptions.
+    direction, the largest rung from which every smaller rung passes, with
+    abs_tol = 1e-10 (1 + |value of the base path|). Violations are report
+    content, not exceptions.
 
     Every pass evaluates f on the same nodes, so the parts of f in x alone
     (``f.x_parts``) are computed once per call and read by each pass. If
@@ -368,8 +366,7 @@ def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
     base = SampledPath(grid, base_y, base_yp)
     x_values = _x_part_values(f, xs)
     base_value = functional_value(f, base, x_values)
-    if abs_tol is None:
-        abs_tol = 1e-10 * (1.0 + abs(base_value))
+    abs_tol = 1e-10 * (1.0 + abs(base_value))
     checks = []
     passed = True
     for label, eta in fam.paths(grid):
@@ -394,7 +391,7 @@ def _x_part_values(f: Integrand, xs: np.ndarray) -> Optional[tuple]:
     if not f.x_parts:
         return None
     try:
-        return Program(f.x_parts).sample({"x": xs}, xs)
+        return Program(f.x_parts)({"x": xs})
     except EvalDomainError:
         return None
 

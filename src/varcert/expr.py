@@ -141,51 +141,6 @@ class Expr:
             node.op, ", ".join(map(text.get, node.args)), "," * (len(node.args) == 1),
             node.value))
 
-    def __add__(self, other):
-        return Expr("add", (self, as_expr(other)))
-
-    def __radd__(self, other):
-        return Expr("add", (as_expr(other), self))
-
-    def __sub__(self, other):
-        return Expr("sub", (self, as_expr(other)))
-
-    def __rsub__(self, other):
-        return Expr("sub", (as_expr(other), self))
-
-    def __mul__(self, other):
-        return Expr("mul", (self, as_expr(other)))
-
-    def __rmul__(self, other):
-        return Expr("mul", (as_expr(other), self))
-
-    def __truediv__(self, other):
-        return Expr("div", (self, as_expr(other)))
-
-    def __rtruediv__(self, other):
-        return Expr("div", (as_expr(other), self))
-
-    def __neg__(self):
-        return Expr("neg", (self,))
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, bool) or not isinstance(exponent, int):
-            raise TypeError("exponent must be a literal integer")
-        return Expr("pow", (self,), exponent)
-
-    def __str__(self):
-        return unparse(self)
-
-
-def as_expr(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("cannot coerce bool to Expr")
-    if isinstance(value, (int, float)):
-        return Expr("const", (), float(value))
-    raise TypeError(f"cannot coerce {type(value).__name__} to Expr")
-
 
 def const(value: float) -> Expr:
     return Expr("const", (), value)
@@ -203,38 +158,6 @@ ONE = const(1.0)
 # constants are interned by their bits, so these are all the constants equal
 # to 0.0, and ONE is the only one equal to 1.0
 _ZEROS = (ZERO, const(-0.0))
-
-
-def sin(e) -> Expr:
-    return Expr("sin", (as_expr(e),))
-
-
-def cos(e) -> Expr:
-    return Expr("cos", (as_expr(e),))
-
-
-def tan(e) -> Expr:
-    return Expr("tan", (as_expr(e),))
-
-
-def exp(e) -> Expr:
-    return Expr("exp", (as_expr(e),))
-
-
-def ln(e) -> Expr:
-    return Expr("ln", (as_expr(e),))
-
-
-def sqrt(e) -> Expr:
-    return Expr("sqrt", (as_expr(e),))
-
-
-def sinh(e) -> Expr:
-    return Expr("sinh", (as_expr(e),))
-
-
-def cosh(e) -> Expr:
-    return Expr("cosh", (as_expr(e),))
 
 
 def _postorder(root: Expr, done=None, leaf=None) -> list:
@@ -513,20 +436,23 @@ class Program:
         return values
 
     def __call__(self, env: Mapping[str, Number]) -> tuple:
-        """Each root's value on floats or numpy arrays; raises EvalDomainError."""
+        """Each root's value on floats or numpy arrays; raises EvalDomainError.
+
+        Over an env that holds arrays, a root that comes out as a scalar (a
+        constant, or one in variables the env binds to floats) is filled to
+        the shape of the first array in env.
+        """
         names = tuple(env)
-        return chunked(lambda *values: self._run(dict(zip(names, values))), *env.values())
+        values = tuple(env.values())
+        first = next((i for i, v in enumerate(values) if isinstance(v, np.ndarray)), None)
+        if first is None:
+            return tuple(self._run(dict(env)))
 
-    def sample(self, env: Mapping[str, np.ndarray], like: np.ndarray) -> tuple:
-        """Each root over arrays, constants broadcast to the shape of ``like``."""
-        names = tuple(env)
+        def run(*chunk):
+            return [v if isinstance(v, np.ndarray) else _filled(chunk[first], v)
+                    for v in self._run(dict(zip(names, chunk)))]
 
-        def run(like, *values):
-            return [v if isinstance(v, np.ndarray) and v.shape == like.shape
-                    else _filled(like, float(v))
-                    for v in self._run(dict(zip(names, values)))]
-
-        return chunked(run, like, *env.values())
+        return chunked(run, *values)
 
 
 def _filled(like: np.ndarray, value: float) -> np.ndarray:
@@ -571,7 +497,7 @@ def chunked(fn, *args) -> tuple:
 
 
 def evaluate(e: Expr, env: Mapping[str, Number]) -> Number:
-    """Evaluate on floats or numpy arrays; raises EvalDomainError off-domain."""
+    """e on floats or numpy arrays, as a one-root Program; raises EvalDomainError."""
     return Program((e,))(env)[0]
 
 
@@ -768,8 +694,9 @@ def parse(text: str) -> Expr:
         elif ch == "(" or ch.isalpha() or ch == "_":
             name = None
             if ch != "(":
+                # str.isalpha admits letters that the ASCII _NAME does not
                 match = _NAME.match(text, pos)
-                name = match.group(0)
+                name = match and match.group(0)
                 if name in VARIABLES:
                     node, pos = var(name), match.end()
                 elif name not in _FUNCTIONS:
@@ -829,7 +756,8 @@ def _power(text: str, pos: int, base: Expr) -> tuple:
     if text.startswith(("+", "-"), pos):
         pos += 1
     first_digit = pos
-    while text[pos:pos + 1].isdigit():
+    # the digits int() and _NUMBER's \d read; isdigit also takes superscripts
+    while text[pos:pos + 1].isdecimal():
         pos += 1
     if pos == first_digit:
         raise ParseError(start, "integer exponent")

@@ -40,7 +40,7 @@ from .expr import (
     substitute,
     var,
 )
-from .variational import Extremal, Integrand, LegendreError, sample_expr
+from .variational import Extremal, Integrand, LegendreError
 
 _TABLE_N = 2048
 _FIT_DEGREES = (4, 6, 8, 10, 12, 14, 16, 20, 24)
@@ -119,8 +119,8 @@ class AntiderivativeTable:
 
 
 def tabulate_antiderivative(rate: Callable[[np.ndarray], np.ndarray], a: float,
-                            b: float, n: int = _TABLE_N) -> AntiderivativeTable:
-    grid = Grid(a, b, n)
+                            b: float) -> AntiderivativeTable:
+    grid = Grid(a, b, _TABLE_N)
     return AntiderivativeTable(grid, cumulative_integral(rate, grid))
 
 
@@ -201,25 +201,29 @@ def antiderivative(e: Expr) -> Optional[Expr]:
         polynomial[node] = (node.op in _POLY_OPS and (node.op != "pow" or node.value >= 0)
                             and all(map(polynomial.get, node.args)))
     anti = {}
+    expansions = {}
     # the walk enters a node only when its rule waits for its children
-    for node in _postorder(e, leaf=lambda n: _anti(n, anti, polynomial)):
+    for node in _postorder(e, leaf=lambda n: _anti(n, anti, polynomial, expansions)):
         if node not in anti:
-            _anti(node, anti, polynomial)
+            _anti(node, anti, polynomial, expansions)
     return anti[e]
 
 
-def _anti(e: Expr, anti: dict, polynomial: dict) -> bool:
+def _anti(e: Expr, anti: dict, polynomial: dict, expansions: dict) -> bool:
     """Put e's antiderivative, or None outside the table, in ``anti`` and
     return True; return False instead while the children's antiderivatives
     that e's is built from are not all there. Those are the children of
     neg, add and sub, and the non-constant side of a mul by a constant or
-    of a div by one.
+    of a div by one. ``expansions`` keeps each polynomial node's
+    ``_poly_coefficients``, since a node that waits is asked again.
     """
     if not free_vars(e):
         anti[e] = simplify(Expr("mul", (e, X)))
         return True
     if polynomial[e]:
-        coefficients = _poly_coefficients(e)
+        if e not in expansions:
+            expansions[e] = _poly_coefficients(e)
+        coefficients = expansions[e]
         if coefficients is not None:
             shifted = [c / (k + 1.0) for k, c in enumerate(coefficients)]
             anti[e] = simplify(Expr("mul", (X, _horner(shifted, X))))
@@ -310,10 +314,9 @@ def _materialize(rate: Expr, a: float, b: float) -> tuple:
 
 def _fit_from_table(rate: Expr, a: float, b: float) -> tuple:
     def rate_samples(xs):
-        arr = np.asarray(xs, dtype=float)
-        return sample_expr(rate, {"x": arr}, arr)
+        return evaluate(rate, {"x": np.asarray(xs, dtype=float)})
 
-    table = tabulate_antiderivative(rate_samples, a, b, _TABLE_N)
+    table = tabulate_antiderivative(rate_samples, a, b)
     dense = np.linspace(a, b, 4097)
     rate_dense = rate_samples(dense)
     scale = 1.0 + float(np.max(np.abs(rate_dense)))
@@ -322,7 +325,7 @@ def _fit_from_table(rate: Expr, a: float, b: float) -> tuple:
     best_degree = None
     for degree in _FIT_DEGREES:
         candidate = _poly_antiderivative_expr(rate_samples, degree, a, b)
-        resid_samples = sample_expr(diff(candidate, "x"), {"x": dense}, dense)
+        resid_samples = evaluate(diff(candidate, "x"), {"x": dense})
         resid = float(np.max(np.abs(resid_samples - rate_dense)))
         if resid < best_resid:
             best_expr = candidate
@@ -359,7 +362,7 @@ def _poly_antiderivative_expr(rate_samples, degree: int, a: float, b: float) -> 
 def _check_positive(pfun: Expr, a: float, b: float) -> None:
     grid = Grid(a, b, 512)
     xs = np.concatenate([grid.nodes, grid.midpoints])
-    values = sample_expr(pfun, {"x": xs}, xs)
+    values = evaluate(pfun, {"x": xs})
     if values.min() <= 0.0:
         raise LegendreError("pfun must be strictly positive on [a, b]")
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Mapping
-
 import numpy as np
 
 from .calculus import Grid
@@ -33,11 +31,6 @@ from .expr import (
 
 class LegendreError(ValueError):
     """The leading slope-squared coefficient is not strictly positive where required."""
-
-
-def sample_expr(e: Expr, env: Mapping[str, np.ndarray], like: np.ndarray) -> np.ndarray:
-    """Evaluate over arrays and broadcast constants to the reference shape."""
-    return Program((e,)).sample(env, like)[0]
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,7 @@ class Extremal:
     def sample(self, xs) -> tuple:
         """Values of (y0, y0', y0'') at the given abscissae."""
         xs = np.asarray(xs, dtype=float)
-        return self.program.sample({"x": xs}, xs)
+        return self.program({"x": xs})
 
 
 def ensure_same_interval(y0: Extremal, grid: Grid) -> None:
@@ -191,7 +184,9 @@ def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
 
 def _coefficients(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
     yv, ypv, yppv = y0.sample(xs)
-    return _p_and_q(f.profile_program.sample({"x": xs, "y": yv, "z": ypv}, xs), ypv, yppv)
+    # the partials are finite, but q may overflow; solve_accessory judges that
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _p_and_q(f.profile_program({"x": xs, "y": yv, "z": ypv}), ypv, yppv)
 
 
 def _p_and_q(partials, ypv, yppv) -> tuple:
@@ -213,9 +208,12 @@ def certify_samples(f: Integrand, y0: Extremal, xs) -> tuple:
 
 def _certify_chunk(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
     yv, ypv, yppv = y0.sample(xs)
-    partials = f.certify_program.sample({"x": xs, "y": yv, "z": ypv}, xs)
+    partials = f.certify_program({"x": xs, "y": yv, "z": ypv})
     f_y, f_xz, f_yz, f_zz = partials[:4]
-    return (f_y - f_xz - f_yz * ypv - f_zz * yppv, *_p_and_q(partials[3:], ypv, yppv))
+    # the partials are finite, but the residual and q may overflow; a nan
+    # residual fails stationarity in classify
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (f_y - f_xz - f_yz * ypv - f_zz * yppv, *_p_and_q(partials[3:], ypv, yppv))
 
 
 def shift(f: Integrand, y0: Extremal) -> Integrand:

@@ -85,6 +85,15 @@ def test_integrate_rejects_bad_shapes():
         integrate(np.full(5, np.inf), grid)
 
 
+def test_overflowing_sums_raise():
+    # every sample is finite, but the weighted sums leave the float range
+    grid = Grid(0.0, 4.0, 4)
+    with pytest.raises(ValueError, match="^integral overflowed$"):
+        integrate(np.full(5, 1e308), grid)
+    with pytest.raises(ValueError, match="^cumulative integral produced non-finite values$"):
+        cumulative_integral(lambda xs: np.full(np.shape(xs), 1e308), grid)
+
+
 def test_cumulative_integral_matches_antiderivative():
     grid = Grid(0.0, 2.0, 256)
 

@@ -162,6 +162,29 @@ def test_bad_expression_exits_one(tmp_path, capsys):
     assert "offset" in err
 
 
+@pytest.mark.parametrize("integrand, message", [
+    ("\u00e9+z^2", "expected a known function or variable name at offset 0"),
+    ("z^\u00b2", "expected integer exponent at offset 2"),
+])
+def test_characters_outside_the_grammar_are_parse_errors(tmp_path, capsys, integrand, message):
+    # str.isalpha and str.isdigit admit a non-ASCII letter and a superscript
+    # digit, which no name and no integer exponent is made of
+    code, out, err = _run(capsys, ["certify", _problem(tmp_path, integrand=integrand)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {message}\n"
+
+
+def test_nan_residual_fails_stationarity(tmp_path, capsys):
+    # f_zz y0'' overflows, and the residual is nan at 242 of the 513 nodes
+    path = _problem(tmp_path, integrand="5e300*z^2 + 1e300*sin(z)*y",
+                    interval={"a": 0, "b": 1}, extremal="sin(1e10*x)")
+    code, out, err = _run(capsys, ["certify", path])
+    assert (code, err) == (EXIT_PRECONDITION, "")
+    report = json.loads(out)
+    assert report["verdict"] == "EulerLagrangeFailed"
+    assert report["el_residual_max"] is None
+
+
 def test_missing_interval_exits_one(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"integrand": "z^2"}), encoding="utf-8")
@@ -324,6 +347,12 @@ def test_verify_custom_ladder(tmp_path, capsys):
     assert json.loads(out)["empirical"]["ladder"] == [1e-2, 1e-3]
 
 
+def test_verify_quadrature_overflow_is_one_error_line(tmp_path, capsys):
+    # every sample of f is finite, but their Simpson sum is not
+    path = _problem(tmp_path, integrand="z^2+1e308", interval={"a": 0, "b": 4})
+    assert _run(capsys, ["verify", path]) == (EXIT_ERROR, "", "error: integral overflowed\n")
+
+
 def test_verify_bad_ladder_exits_one(tmp_path, capsys):
     path = _problem(tmp_path)
     code, _, err = _run(capsys, ["verify", path, "--ladder", "big,small"])
@@ -393,6 +422,12 @@ def test_generate_nonpositive_pfun_exits_three(tmp_path, capsys):
     path = _genspec(tmp_path, pfun="sin(x)", a=0.0, b=4.0)
     code, _, err = _run(capsys, ["generate", path])
     assert code == EXIT_PRECONDITION and err != ""
+
+
+def test_generate_table_overflow_is_one_error_line(tmp_path, capsys):
+    path = _genspec(tmp_path, P="5e307*exp(-x^2)*y")
+    assert _run(capsys, ["generate", path]) == (
+        EXIT_ERROR, "", "error: cumulative integral produced non-finite values\n")
 
 
 @pytest.mark.parametrize("field", ["C", "b"])

@@ -424,7 +424,7 @@ class _ReferenceParser:
         if self._peek() in "+-":
             self.pos += 1
         first_digit = self.pos
-        while self._peek().isdigit():
+        while self._peek().isdecimal():
             self.pos += 1
         if self.pos == first_digit:
             self.pos = start
@@ -460,6 +460,8 @@ class _ReferenceParser:
         if ch.isalpha() or ch == "_":
             start = self.pos
             match = self._NAME.match(self.text, self.pos)
+            if match is None:
+                raise ParseError(start, "a known function or variable name")
             name = match.group(0)
             self.pos = match.end()
             if name in VARIABLES:
@@ -506,8 +508,6 @@ def test_var_rejects_unknown_names():
 def test_pow_requires_integer_exponent():
     with pytest.raises(TypeError):
         Expr("pow", (X,), 2.5)
-    with pytest.raises(TypeError):
-        X ** 0.5
 
 
 def test_arity_validation():
@@ -531,7 +531,8 @@ def test_arity_validation():
     ("add", (X, Y), 3, ValueError, "'add' carries no payload"),
 ])
 def test_malformed_nodes_raise(op, args, value, error, message):
-    pinned = (X ** 2, X ** 1)  # live nodes that 2.0 or True must not be taken for
+    # live nodes that 2.0 or True must not be taken for
+    pinned = (Expr("pow", (X,), 2), Expr("pow", (X,), 1))
     with pytest.raises(error) as err:
         Expr(op, args, value)
     assert str(err.value) == message
@@ -546,14 +547,14 @@ def test_equal_nodes_are_one_node():
     text = "sin(x)*y^2+0.5*z^2"
     assert parse(text) is parse(text)
     assert Expr("const", (), 2) is const(2.0)
-    assert Expr("add", [X, Y]) is X + Y
+    assert Expr("add", [X, Y]) is parse("x+y")
 
 
 def test_signed_zero_constants_stay_distinct():
     assert const(0.0) is not const(-0.0)
     assert const(-0.0) is const(-0.0)
     assert unparse(parse("-0.0")) == "-0.0"
-    assert unparse(-const(0.0)) == "-(0.0)"
+    assert unparse(Expr("neg", (const(0.0),))) == "-(0.0)"
 
 
 def test_nodes_are_immutable():
@@ -586,12 +587,6 @@ def test_dropped_integrand_is_collected_with_its_memos():
     del f, y0
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
-
-
-def test_operator_sugar_builds_expected_trees():
-    e = 2.0 * X + Y ** 2 - Z / 3.0
-    assert e.op == "sub"
-    assert eval_at(e, 1.0, 2.0, 3.0) == pytest.approx(2.0 + 4.0 - 1.0)
 
 
 def test_free_vars():
@@ -750,9 +745,6 @@ def _parse_outcome(parser, text):
         return parser(text)
     except ParseError as exc:
         return exc.offset, exc.expected
-    except (ValueError, AttributeError) as exc:
-        # int() of a superscript digit, _NAME on a non-ASCII letter
-        return type(exc), str(exc)
 
 
 # the pieces texts are made of, with characters on which str methods and
@@ -903,9 +895,10 @@ def test_folds_raise_no_warning():
         for op in ("sin", "cos", "tan"):
             assert _make(op, (const(math.inf),)) is Expr(op, (const(math.inf),))
         assert _make("exp", (const(1000.0),)) is Expr("exp", (const(1000.0),))
-        for node in (const(1e308) + 1e308, const(math.inf) - math.inf, const(1e308) * 10,
-                     const(1e308) / 1e-308):
-            assert _make(node.op, node.args) is node
+        for op, left, right in (("add", 1e308, 1e308), ("sub", math.inf, math.inf),
+                                ("mul", 1e308, 10.0), ("div", 1e308, 1e-308)):
+            node = Expr(op, (const(left), const(right)))
+            assert _make(op, node.args) is node
 
 
 def test_simplify_leaves_domain_errors_unfolded():
@@ -970,6 +963,15 @@ def test_evaluate_vectorized():
     xs = np.linspace(0.0, 1.0, 11)
     out = evaluate(parse("x^2+1"), {"x": xs})
     assert np.allclose(out, xs ** 2 + 1)
+
+
+def test_scalar_roots_are_filled_to_the_first_array():
+    xs = np.linspace(0.0, 1.0, 5)
+    two, scaled = Program((const(2.0), parse("3*y")))({"x": xs, "y": 0.5})
+    assert np.array_equal(two, np.full(5, 2.0))
+    assert np.array_equal(scaled, np.full(5, 1.5))
+    got = evaluate(const(2.0), {"x": 0.25})
+    assert isinstance(got, float) and got == 2.0
 
 
 def test_evaluate_domain_errors():
@@ -1075,10 +1077,10 @@ def test_compiled_evaluator_matches_reference_bitwise(e, seed):
                 evaluate(e, env)
             assert str(err.value) == str(expected)
             continue
+        # over arrays a scalar root, such as a constant, is filled out
         got = evaluate(e, env)
-        assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
-        assert np.shape(got) == np.shape(want)
-        assert np.array_equal(_bits(got), _bits(want))
+        assert isinstance(got, np.ndarray) and got.shape == (n,)
+        assert np.array_equal(_bits(got), _bits(np.broadcast_to(want, (n,))))
 
 
 @pytest.mark.parametrize("n, sizes", [
@@ -1122,8 +1124,8 @@ def test_program_matches_reference_root_by_root(roots, seed):
         got = Program(roots)(env)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert np.shape(g) == np.shape(w)
-            assert np.array_equal(_bits(g), _bits(w))
+            assert isinstance(g, np.ndarray) and g.shape == (n,)
+            assert np.array_equal(_bits(g), _bits(np.broadcast_to(w, (n,))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1145,13 +1147,13 @@ def test_precomputed_x_parts_match_the_plain_program(e, seed):
         program = f.x_parts_program if given else f.value_program
         env_given = {**env, **given}
         try:
-            (want,) = f.value_program.sample(env, xs)
+            (want,) = f.value_program(env)
         except EvalDomainError as expected:
             with pytest.raises(EvalDomainError) as err:
-                program.sample(env_given, xs)
+                program(env_given)
             assert str(err.value) == str(expected)
             continue
-        (got,) = program.sample(env_given, xs)
+        (got,) = program(env_given)
         assert np.array_equal(_bits(got), _bits(want))
 
 

@@ -26,6 +26,7 @@ from varcert import (
     tabulate_antiderivative,
     unparse,
 )
+from varcert import generator
 from varcert.certify import MINIMUM_KINDS
 from varcert.expr import ZERO, X, Expr, _postorder, const, free_vars
 from varcert.variational import certify_samples
@@ -299,12 +300,28 @@ def test_a_2000_term_antiderivative_needs_no_recursion():
     assert got is want
 
 
+def test_polynomial_coefficients_are_computed_once_per_node(monkeypatch):
+    # the root of x^70+x is past _MAX_POLY_TERMS and its sum rule waits for
+    # its children, so the walk asks for its antiderivative twice
+    expand = generator._poly_coefficients
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return expand(e)
+
+    monkeypatch.setattr(generator, "_poly_coefficients", counted)
+    rate = parse("x^70+x")
+    assert unparse(antiderivative(rate)) == "x^71/71.0+x*(x*0.5)"
+    assert len(calls) == len(set(calls)) == 3
+
+
 # ---------------------------------------------------------------------------
 # tables
 
 
 def test_tabulate_antiderivative_cosine():
-    table = tabulate_antiderivative(np.cos, 0.0, 2.0, 512)
+    table = tabulate_antiderivative(np.cos, 0.0, 2.0)
     assert table.values[0] == 0.0
     assert np.max(np.abs(table.values - np.sin(table.grid.nodes))) < 1e-10
 

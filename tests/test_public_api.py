@@ -41,7 +41,27 @@ REMOVED = (
 # each is a dotted path below varcert
 DELETED = (
     "certify.PerturbationFamily._directions",
+    "expr.Expr.__add__",
+    "expr.Expr.__mul__",
+    "expr.Expr.__neg__",
+    "expr.Expr.__pow__",
+    "expr.Expr.__radd__",
+    "expr.Expr.__rmul__",
+    "expr.Expr.__rsub__",
+    "expr.Expr.__rtruediv__",
+    "expr.Expr.__sub__",
+    "expr.Expr.__truediv__",
+    "expr.Program.sample",
+    "expr.as_expr",
+    "expr.cos",
+    "expr.cosh",
     "expr.eval_at",
+    "expr.exp",
+    "expr.ln",
+    "expr.sin",
+    "expr.sinh",
+    "expr.sqrt",
+    "expr.tan",
     "variational.Extremal.boundary_values",
     "variational.Extremal.grid",
     "variational.LegendreProfile",
@@ -49,6 +69,7 @@ DELETED = (
     "variational.el_residual_at",
     "variational.el_residual_max",
     "variational.legendre_profile",
+    "variational.sample_expr",
 )
 
 # exports the package itself never calls: acceptance claim 8 is the caller
@@ -135,12 +156,12 @@ def _own_nodes(scope: ast.AST):
             pending.extend(ast.iter_child_nodes(node))
 
 
-def _call_graph() -> dict:
-    """Every function and method in the package, by its dotted name below
-    the package, with the functions and methods it refers to: by a name, as
-    Python resolves it, or, in a method, through self.<name>. A reference
-    that is not a call (map(f, ...)) counts too."""
-    found = {}  # dotted name -> (node, the scopes its names resolve in, its class)
+def _scopes() -> tuple:
+    """Every module, class and function body in the package, by its dotted
+    name below the package (a module by its own name), with (its node, the
+    scopes its names resolve in, its class); and each module's relative
+    imports, by the name they bind."""
+    scopes = {}
     imported = {}
     for path in PACKAGE.glob("*.py"):
         module = path.stem
@@ -149,32 +170,51 @@ def _call_graph() -> dict:
                             for node in tree.body
                             if isinstance(node, ast.ImportFrom) and node.level == 1
                             for alias in node.names}
-        # a class body is not a scope its methods' names resolve in
-        pending = [(tree, module, (module,), None)]
+        scopes[module] = (tree, (module,), None)
+        pending = [module]
         while pending:
-            scope, name, scopes, owner = pending.pop()
+            name = pending.pop()
+            scope, names, owner = scopes[name]
             for node in _own_nodes(scope):
                 if isinstance(node, ast.ClassDef):
-                    pending.append((node, f"{name}.{node.name}", scopes, f"{name}.{node.name}"))
+                    # a class body is not a scope its methods' names resolve in
+                    dotted = f"{name}.{node.name}"
+                    scopes[dotted] = (node, names, dotted)
+                    pending.append(dotted)
                 elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     dotted = f"{name}.{node.name}"
-                    found[dotted] = (node, (dotted,) + scopes, owner)
-                    pending.append((node, dotted, (dotted,) + scopes, owner))
-    graph = {}
-    for dotted, (function, scopes, owner) in found.items():
-        module = scopes[-1]
-        refers = graph[dotted] = set()
-        for node in _own_nodes(function):
-            if isinstance(node, ast.Name):
-                for target in [f"{scope}.{node.id}" for scope in scopes] + [
-                        imported[module].get(node.id)]:
-                    if target in found:
-                        refers.add(target)
-                        break
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "self" and f"{owner}.{node.attr}" in found):
-                refers.add(f"{owner}.{node.attr}")
-    return graph
+                    scopes[dotted] = (node, (dotted,) + names, owner)
+                    pending.append(dotted)
+    return scopes, imported
+
+
+def _references(scope: tuple, imported: dict, targets) -> set:
+    """The targets a scope's own code refers to: by a name, as Python
+    resolves it, or, in a method, through self.<name>. A reference that is
+    not a call (map(f, ...)) counts too."""
+    node, names, owner = scope
+    module = names[-1]
+    refers = set()
+    for child in _own_nodes(node):
+        if isinstance(child, ast.Name):
+            for target in [f"{name}.{child.id}" for name in names] + [
+                    imported[module].get(child.id)]:
+                if target in targets:
+                    refers.add(target)
+                    break
+        elif (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+              and child.value.id == "self" and f"{owner}.{child.attr}" in targets):
+            refers.add(f"{owner}.{child.attr}")
+    return refers
+
+
+def _call_graph() -> dict:
+    """Every function and method in the package, by its dotted name below
+    the package, with the functions and methods it refers to."""
+    scopes, imported = _scopes()
+    functions = {name for name, (node, _, _) in scopes.items()
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return {name: _references(scopes[name], imported, functions) for name in functions}
 
 
 def _self_reaching(graph: dict) -> set:
@@ -199,6 +239,42 @@ def test_no_function_or_method_recurses():
     # nesting of a report the CLI builds, whose shape is fixed by the code
     # and never follows the input.
     assert _self_reaching(_call_graph()) == {"cli._render"}
+
+
+# dunders that Python, pickle or copy call, or that the package calls by
+# syntax (Program(...)(env))
+CALLED_DUNDERS = {"__init__", "__new__", "__post_init__", "__setattr__", "__delattr__",
+                  "__reduce__", "__repr__", "__call__"}
+
+
+def test_every_function_and_method_has_a_caller_in_the_package():
+    # a function or class is named somewhere outside its own body (a table
+    # entry and an import into a sibling module count, a re-export from
+    # __init__ does not); a method is named as an attribute somewhere
+    scopes, imported = _scopes()
+    defined = {name for name, (node, _, _) in scopes.items() if not isinstance(node, ast.Module)}
+    named = set()
+    attributes = set()
+    for name, scope in scopes.items():
+        if name.split(".")[0] == "__init__":
+            continue
+        named |= {(target, name) for target in _references(scope, imported, defined)}
+        if isinstance(scope[0], ast.Module):
+            named |= {(target, name) for target in imported[name].values()}
+            attributes |= {node.attr for node in ast.walk(scope[0])
+                           if isinstance(node, ast.Attribute)}
+    uncalled = []
+    for name in defined:
+        parent, own = name.rsplit(".", 1)
+        if parent == scopes[name][2]:  # a method
+            called = own in CALLED_DUNDERS if own.startswith("__") else own in attributes
+        else:
+            called = (any(target == name and not (user == name or user.startswith(name + "."))
+                          for target, user in named)
+                      or "." not in parent and own in CALLED_BY_ACCEPTANCE_ONLY)
+        if not called:
+            uncalled.append(name)
+    assert sorted(uncalled) == []
 
 
 def test_derivatives_and_simplification_build_nodes_through_make():
