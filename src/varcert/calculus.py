@@ -25,6 +25,8 @@ class Grid:
         b = float(self.b)
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError("grid requires finite endpoints with a < b")
+        if not math.isfinite(b - a):
+            raise ValueError("grid length b - a overflows")
         if not isinstance(self.n, int) or self.n < 2 or self.n % 2 != 0:
             raise ValueError("grid size must be an even integer >= 2")
         object.__setattr__(self, "a", a)

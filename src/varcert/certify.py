@@ -242,7 +242,11 @@ class PerturbationFamily:
         values = rng.uniform(-1.0, 1.0, _SPLINE_KNOTS + 2)
         values[0] = 0.0
         values[-1] = 0.0
-        return (f"spline-{i}", _normalized(grid, *_clamped_spline(knots, values, grid.nodes)))
+        # on a very short interval the cubic coefficients, about 1/dx^3,
+        # overflow; SampledPath then rejects the non-finite samples
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, yp = _clamped_spline(knots, values, grid.nodes)
+        return (f"spline-{i}", _normalized(grid, y, yp))
 
 
 def _clamped_spline(knots: np.ndarray, values: np.ndarray, xs: np.ndarray) -> tuple:

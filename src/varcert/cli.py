@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -127,16 +126,6 @@ def _emit(report: dict) -> None:
 # problem loading
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    integrand: str
-    a: float
-    b: float
-    extremal: str
-    grid_n: int
-    el_tol: float
-
-
 def _resolve_grid_n(flag: Optional[int], file_value) -> int:
     if flag is not None:
         n = flag
@@ -174,9 +163,10 @@ def _load_json(path: str):
         raise CliInputError(f"{path} is not valid JSON: nested too deeply")
 
 
-def _load_problem(path: str, grid_flag: Optional[int],
-                  el_flag: Optional[float]) -> ProblemFile:
-    raw = _load_json(path)
+def _load_problem(args) -> tuple:
+    """The report's echo of the problem file, then the integrand, path, grid
+    and stationarity tolerance it describes."""
+    raw = _load_json(args.problem)
     if not isinstance(raw, dict):
         raise CliInputError("problem file must contain a JSON object")
     try:
@@ -190,19 +180,13 @@ def _load_problem(path: str, grid_flag: Optional[int],
     extremal = raw.get("extremal", "0")
     if not isinstance(integrand, str) or not isinstance(extremal, str):
         raise CliInputError("integrand and extremal must be expression strings")
-    grid_n = _resolve_grid_n(grid_flag, raw.get("grid_n"))
-    el_tol = _resolve_el_tol(el_flag, raw.get("el_tol", _DEFAULT_EL_TOL))
-    return ProblemFile(integrand, float(a), float(b), extremal, grid_n, el_tol)
-
-
-def _problem_echo(problem: ProblemFile) -> dict:
-    return {
-        "integrand": problem.integrand,
-        "interval": {"a": problem.a, "b": problem.b},
-        "extremal": problem.extremal,
-        "grid_n": problem.grid_n,
-        "el_tol": problem.el_tol,
-    }
+    grid_n = _resolve_grid_n(args.grid_n, raw.get("grid_n"))
+    el_tol = _resolve_el_tol(args.el_tol, raw.get("el_tol", _DEFAULT_EL_TOL))
+    a, b = float(a), float(b)
+    echo = {"integrand": integrand, "interval": {"a": a, "b": b}, "extremal": extremal,
+            "grid_n": grid_n, "el_tol": el_tol}
+    return (echo, Integrand.from_text(integrand), Extremal.from_text(extremal, a, b),
+            Grid(a, b, grid_n), el_tol)
 
 
 def _exit_for(kind: VerdictKind) -> int:
@@ -221,7 +205,7 @@ def _reported_length_bound(cert: Certificate) -> Optional[float]:
 
 
 def _certificate_block(cert: Certificate) -> dict:
-    block = {
+    return {
         "verdict": cert.verdict.kind.value,
         "note": _NOTES[cert.verdict.kind],
         "el_residual_max": cert.verdict.el_residual_max,
@@ -233,7 +217,11 @@ def _certificate_block(cert: Certificate) -> dict:
         "grid_n": cert.grid_n,
         "k_extremum_note": None,
     }
-    return block
+
+
+def _certificate_report(args, problem: dict, cert: Certificate) -> dict:
+    return {"command": args.command, "version": __version__, "problem": problem,
+            **_certificate_block(cert)}
 
 
 def _write_plot_data(path: str, grid: Grid, p, q, U=None) -> None:
@@ -252,14 +240,9 @@ def _write_plot_data(path: str, grid: Grid, p, q, U=None) -> None:
 
 
 def cmd_certify(args) -> int:
-    problem = _load_problem(args.problem, args.grid_n, args.el_tol)
-    f = Integrand.from_text(problem.integrand)
-    y0 = Extremal.from_text(problem.extremal, problem.a, problem.b)
-    grid = Grid(problem.a, problem.b, problem.grid_n)
-    cert = certify(f, y0, grid, el_tol=problem.el_tol)
-    report = {"command": "certify", "version": __version__,
-              "problem": _problem_echo(problem)}
-    report.update(_certificate_block(cert))
+    problem, f, y0, grid, el_tol = _load_problem(args)
+    cert = certify(f, y0, grid, el_tol=el_tol)
+    report = _certificate_report(args, problem, cert)
     if args.sobolev:
         report["k_extremum_note"] = _SOBOLEV_NOTE
     if args.plot_data:
@@ -270,15 +253,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    problem = _load_problem(args.problem, args.grid_n, None)
-    f = Integrand.from_text(problem.integrand)
-    y0 = Extremal.from_text(problem.extremal, problem.a, problem.b)
-    grid = Grid(problem.a, problem.b, problem.grid_n)
+    problem, f, y0, grid, _ = _load_problem(args)
     comparison = compare_criteria(f, y0, grid)
     report = {
         "command": "compare",
         "version": __version__,
-        "problem": _problem_echo(problem),
+        "problem": problem,
         "p_min": comparison.p_min,
         "q_min": comparison.q_min,
         "length_new": comparison.length_new,
@@ -295,23 +275,15 @@ def cmd_compare(args) -> int:
 
 def _parse_ladder(text: str) -> tuple:
     try:
-        rungs = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise CliInputError("--ladder expects comma-separated numbers")
-    if not rungs:
-        raise CliInputError("--ladder must list at least one rung")
-    return rungs
 
 
 def cmd_verify(args) -> int:
-    problem = _load_problem(args.problem, args.grid_n, args.el_tol)
-    f = Integrand.from_text(problem.integrand)
-    y0 = Extremal.from_text(problem.extremal, problem.a, problem.b)
-    grid = Grid(problem.a, problem.b, problem.grid_n)
-    cert = certify(f, y0, grid, el_tol=problem.el_tol)
-    report = {"command": "verify", "version": __version__,
-              "problem": _problem_echo(problem)}
-    report.update(_certificate_block(cert))
+    problem, f, y0, grid, el_tol = _load_problem(args)
+    cert = certify(f, y0, grid, el_tol=el_tol)
+    report = _certificate_report(args, problem, cert)
     if cert.quad_coefficient is None:
         report["empirical"] = None
         report["note"] = (
@@ -396,21 +368,20 @@ def _spec_echo(spec: GeneratorSpec) -> dict:
     }
 
 
+def _built_echo(spec: GeneratorSpec, integrand: Integrand, extremal: Extremal) -> dict:
+    return {"integrand": unparse(integrand.f), "interval": {"a": spec.a, "b": spec.b},
+            "extremal": unparse(extremal.y0)}
+
+
 def cmd_generate(args) -> int:
     if (args.spec is None) == (args.corpus is None):
         raise CliInputError("generate expects a spec file or --corpus SEED COUNT")
     if args.corpus is not None:
         seed, count = args.corpus
-        triples = sample_corpus(seed, count, 0.0, 0.6)
-        problems = []
-        for index, (spec, integrand, extremal) in enumerate(triples):
-            problems.append({
-                "index": index,
-                "integrand": unparse(integrand.f),
-                "interval": {"a": spec.a, "b": spec.b},
-                "extremal": unparse(extremal.y0),
-                "ingredients": _spec_echo(spec),
-            })
+        problems = [{"index": index, **_built_echo(spec, integrand, extremal),
+                     "ingredients": _spec_echo(spec)}
+                    for index, (spec, integrand, extremal)
+                    in enumerate(sample_corpus(seed, count, 0.0, 0.6))]
         _emit({
             "command": "generate",
             "version": __version__,
@@ -447,12 +418,7 @@ def cmd_generate(args) -> int:
         "version": __version__,
         "mode": "spec",
         "ingredients": _spec_echo(spec),
-        "problem": {
-            "integrand": unparse(integrand.f),
-            "interval": {"a": spec.a, "b": spec.b},
-            "extremal": unparse(extremal.y0),
-            "grid_n": grid.n,
-        },
+        "problem": {**_built_echo(spec, integrand, extremal), "grid_n": grid.n},
         "provenance": provenance,
         "certificate": _certificate_block(cert),
         "warnings": warnings,
@@ -491,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--grid-n", type=int, default=None)
     p_comp.add_argument("--plot-data", metavar="CSV", default=None,
                         help="write x,p,q,U columns for plotting")
-    p_comp.set_defaults(func=cmd_compare)
+    p_comp.set_defaults(func=cmd_compare, el_tol=None)
 
     p_gen = sub.add_parser(
         "generate", help="build an integrand whose designated path is an extremal")

@@ -685,6 +685,8 @@ def parse(text: str) -> Expr:
             if match is None:
                 raise ParseError(pos, "a number")
             value = float(match.group(0))
+            if math.isinf(value):
+                raise ParseError(pos, "a finite number")
             if minuses and text[pos - 1] == "-" and not _CARET.match(text, match.end()):
                 # a number directly after a prefix minus takes it as its
                 # sign, so that rendered constants like -2.5 round-trip; an
@@ -763,7 +765,11 @@ def _power(text: str, pos: int, base: Expr) -> tuple:
         raise ParseError(start, "integer exponent")
     if text[pos:pos + 1] == ".":
         raise ParseError(start, "integer exponent (no decimal point)")
-    return Expr("pow", (base,), int(text[start:pos])), pos
+    try:
+        k = int(text[start:pos])
+    except ValueError:  # more digits than int() converts
+        raise ParseError(start, "integer exponent")
+    return Expr("pow", (base,), k), pos
 
 
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}

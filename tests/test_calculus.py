@@ -45,6 +45,10 @@ def test_grid_validation():
         Grid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         Grid(0.0, math.inf, 8)
+    # finite ends whose distance overflows would give linspace nan nodes
+    with pytest.raises(ValueError, match="grid length b - a overflows"):
+        Grid(-1e308, 1e308, 8)
+    assert np.all(np.isfinite(Grid(-1e308, 0.0, 8).nodes))
 
 
 def test_sampled_path_shape_check():

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, deterministic reports, file handling."""
 
+import dataclasses
 import json
 import math
 import os
@@ -185,6 +186,29 @@ def test_nan_residual_fails_stationarity(tmp_path, capsys):
     assert report["el_residual_max"] is None
 
 
+@pytest.mark.parametrize("command", ["certify", "compare", "verify"])
+@pytest.mark.parametrize("text, message", [
+    ("[]", "problem file must contain a JSON object"),
+    ('{"integrand": 5, "interval": {"a": 0, "b": 1}}',
+     "integrand and extremal must be expression strings"),
+    ('{"integrand": "z^2", "interval": {"a": 0, "b": 1}, "grid_n": 1.5}',
+     "grid_n must be an integer"),
+])
+def test_malformed_problem_files_are_one_error_line(tmp_path, capsys, command, text, message):
+    # the three commands read their problem files through one loader
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    assert _run(capsys, [command, str(path)]) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["certify", "compare", "verify"])
+def test_overflowing_interval_length_is_one_error_line(tmp_path, capsys, command):
+    # both ends are finite, but b - a is not
+    path = _problem(tmp_path, interval={"a": -1e308, "b": 1e308})
+    assert _run(capsys, [command, path]) == (
+        EXIT_ERROR, "", "error: grid length b - a overflows\n")
+
+
 def test_missing_interval_exits_one(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"integrand": "z^2"}), encoding="utf-8")
@@ -353,6 +377,32 @@ def test_verify_quadrature_overflow_is_one_error_line(tmp_path, capsys):
     assert _run(capsys, ["verify", path]) == (EXIT_ERROR, "", "error: integral overflowed\n")
 
 
+def test_verify_on_a_very_short_interval_is_one_error_line(tmp_path, capsys):
+    # the spline directions' cubic coefficients, about 1/dx^3, overflow
+    path = _problem(tmp_path, integrand="z^2+y^2", interval={"a": 0, "b": 1e-120})
+    assert _run(capsys, ["verify", path]) == (
+        EXIT_ERROR, "", "error: path samples must be finite\n")
+
+
+def test_verify_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a claimed coefficient of 10 where 1 is certified: no direction grows
+    # that fast at any rung
+    real_certify = cli.certify
+
+    def overclaimed(*args, **kwargs):
+        return dataclasses.replace(real_certify(*args, **kwargs), quad_coefficient=10.0)
+
+    monkeypatch.setattr(cli, "certify", overclaimed)
+    path = _problem(tmp_path, integrand="z^2+y^2", interval={"a": 0, "b": 1})
+    code, out, err = _run(capsys, ["verify", path])
+    assert (code, err) == (EXIT_PRECONDITION, "")
+    report = json.loads(out)
+    assert report["quad_coefficient"] == 10.0
+    assert report["empirical"]["passed"] is False
+    assert [check["threshold"] for check in report["empirical"]["checks"]] == [None] * 12
+    assert report["note"].startswith("At least one perturbation shows less growth")
+
+
 def test_verify_bad_ladder_exits_one(tmp_path, capsys):
     path = _problem(tmp_path)
     code, _, err = _run(capsys, ["verify", path, "--ladder", "big,small"])
@@ -398,6 +448,28 @@ def test_generate_from_spec(tmp_path, capsys):
     code2, out2, _ = _run(capsys, ["certify", str(problem)])
     assert code2 == EXIT_OK
     assert json.loads(out2)["el_residual_max"] <= 1e-8
+
+
+def test_generate_with_a_designated_path(tmp_path, capsys):
+    path = _genspec(tmp_path, P="sin(x)*y", pfun="2+sin(x)", y0="sin(x)")
+    code, out, err = _run(capsys, ["generate", path])
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    assert report["problem"]["extremal"] == "sin(x)"
+    assert report["ingredients"]["y0"] == "sin(x)"
+    assert report["certificate"]["verdict"] in ("MinimumUnconditional", "MinimumUnderLength")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "generator spec must be a JSON object"),
+    ('{"P": "z*y"}', "invalid generator spec: P may only use ['x', 'y']; found ['z']"),
+    ('{"y0": 5}', "y0 must be an expression string or null"),
+    ('{"P": "x*y", "a": -1e308, "b": 1e308}', "grid length b - a overflows"),
+])
+def test_malformed_generator_specs_are_one_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "genspec.json"
+    path.write_text(text, encoding="utf-8")
+    assert _run(capsys, ["generate", str(path)]) == (EXIT_ERROR, "", f"error: {message}\n")
 
 
 def test_generate_table_provenance(tmp_path, capsys):

@@ -432,7 +432,11 @@ class _ReferenceParser:
         if self._peek() == ".":
             self.pos = start
             raise ParseError(start, "integer exponent (no decimal point)")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            self.pos = start
+            raise ParseError(start, "integer exponent")
 
     def _atom(self):
         self._skip()
@@ -487,8 +491,11 @@ class _ReferenceParser:
         match = self._NUMBER.match(self.text, self.pos)
         if match is None:
             raise ParseError(self.pos, "a number")
+        value = float(match.group(0))
+        if math.isinf(value):
+            raise ParseError(self.pos, "a finite number")
         self.pos = match.end()
-        return float(match.group(0))
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +739,19 @@ def test_parse_error_reports_offset():
         parse("x^2.5")
 
 
+@pytest.mark.parametrize("text, offset, expected", [
+    ("1e999*x", 0, "a finite number"),
+    ("x*-" + "9" * 400, 3, "a finite number"),
+    ("z^2+x^" + "9" * 5000, 6, "integer exponent"),
+], ids=["overflowing-number", "overflowing-signed-number", "exponent-of-5000-digits"])
+def test_literals_no_float_or_int_holds_are_parse_errors(text, offset, expected):
+    # an infinite constant would unparse to "inf", which does not parse back;
+    # int() refuses more than 4300 digits with a bare ValueError
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected) == (offset, expected)
+
+
 def test_whitespace_is_insignificant():
     assert parse(" 1 + 2 * x ") == parse("1+2*x")
 
@@ -785,6 +805,8 @@ _malformed_texts = st.one_of(
 @example("--2 ^3^4*- 2")
 @example("sin (x) ^ -2")
 @example("x^ - 2")
+@example("1e999*x")
+@example("z^2+x^" + "9" * 5000)
 def test_parse_matches_the_recursive_reference(text):
     # the same node, or the same (offset, expected)
     assert _parse_outcome(parse, text) == _parse_outcome(_reference_parse, text)
