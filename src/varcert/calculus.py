@@ -31,6 +31,9 @@ class Grid:
             raise ValueError("grid size must be an even integer >= 2")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        nodes = self.nodes
+        if not np.all(nodes[1:] > nodes[:-1]):
+            raise ValueError("grid step (b - a)/n is below float resolution")
 
     @property
     def h(self) -> float:

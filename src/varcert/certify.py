@@ -63,9 +63,9 @@ def length_bound(p_min: float, q_min: float) -> Optional[float]:
 
 
 def _within_length(p_min: float, q_min: float, length: float) -> bool:
-    # product form of length < (pi/4) sqrt(p/|q|); shared with the case-3
-    # coefficient so the verdict and the coefficient can never disagree at
-    # the boundary
+    # product form of length < (pi/4) sqrt(p/|q|); quad_coefficient tests
+    # the same predicate, so the verdict and the coefficient can never
+    # disagree at the boundary
     return 16.0 * length * length * abs(q_min) < math.pi * math.pi * p_min
 
 
@@ -98,10 +98,10 @@ def classify(p_min: float, q_min: float, el_max: float, a: float, b: float,
 def quad_coefficient(p_min: float, q_min: float, a: float, b: float) -> Optional[float]:
     """Coefficient c of the certified bound gap >= c * squared H1 distance.
 
-    Three closed-form cases by the sign of q_min; for q_min > 0 both the
-    min(p, q)/2 and the length-weighted formulas hold, so the larger is
-    returned. None when no bound is certified (q_min < 0 and the interval
-    is too long).
+    Two closed-form cases, split where ``classify`` splits them. For
+    q_min >= 0 both the min(p, q)/2 and the length-weighted formulas hold,
+    so the larger is returned. For q_min < 0 the bound holds when
+    ``_within_length`` does, and None is returned otherwise.
 
     Hand-evaluated examples on (p_min, q_min, b - a):
 
@@ -114,15 +114,11 @@ def quad_coefficient(p_min: float, q_min: float, a: float, b: float) -> Optional
     length = b - a
     pi_sq = math.pi * math.pi
     denom = 2.0 * (pi_sq + 16.0 * length * length)
-    narrow = pi_sq * p_min / denom
-    if q_min > 0.0:
-        return max(0.5 * min(p_min, q_min), narrow)
-    if q_min == 0.0:
-        return narrow
-    numer = pi_sq * p_min - 16.0 * length * length * abs(q_min)
-    if numer <= 0.0:
+    if q_min >= 0.0:
+        return max(0.5 * min(p_min, q_min), pi_sq * p_min / denom)
+    if not _within_length(p_min, q_min, length):
         return None
-    return numer / denom
+    return (pi_sq * p_min - 16.0 * length * length * abs(q_min)) / denom
 
 
 @dataclass(frozen=True)
@@ -231,9 +227,12 @@ class PerturbationFamily:
 
     def _sine(self, k: int, grid: Grid):
         xs = grid.nodes
-        omega = k * math.pi / grid.length
-        y = np.sin(omega * (xs - grid.a))
-        yp = omega * np.cos(omega * (xs - grid.a))
+        # on an interval shorter than about 1e-307 omega overflows;
+        # SampledPath then rejects the non-finite samples
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = k * math.pi / grid.length
+            y = np.sin(omega * (xs - grid.a))
+            yp = omega * np.cos(omega * (xs - grid.a))
         return (f"sine-{k}", _normalized(grid, y, yp))
 
     def _spline(self, i: int, grid: Grid):
@@ -366,7 +365,7 @@ def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
     ensure_same_interval(y0, grid)
     coefficient = cert.quad_coefficient
     xs = grid.nodes
-    base_y, base_yp, _ = y0.sample(xs)
+    base_y, base_yp, _ = y0.program({"x": xs})
     base = SampledPath(grid, base_y, base_yp)
     x_values = _x_part_values(f, xs)
     base_value = functional_value(f, base, x_values)

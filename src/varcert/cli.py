@@ -34,7 +34,7 @@ from .certify import (
     empirical_verify,
     length_bound,
 )
-from .expr import diff, parse, unparse
+from .expr import _ZEROS, diff, parse, unparse
 from .generator import (
     GeneratorError,
     GeneratorSpec,
@@ -80,10 +80,6 @@ _SOBOLEV_NOTE = (
     "deviation: the certified gap scales with the integral of the deviation "
     "squared plus the slope deviation squared."
 )
-
-
-class CliInputError(ValueError):
-    """Malformed command-line input or problem file."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +130,7 @@ def _resolve_grid_n(flag: Optional[int], file_value) -> int:
     else:
         n = _DEFAULT_GRID_N
     if not isinstance(n, int) or isinstance(n, bool):
-        raise CliInputError("grid_n must be an integer")
+        raise ValueError("grid_n must be an integer")
     return n
 
 
@@ -147,7 +143,7 @@ def _resolve_el_tol(flag: Optional[float], file_value) -> float:
     tol = flag if flag is not None else file_value
     # the chained comparison is false for nan and exact for ints of any size
     if not _is_number(tol) or not 0.0 <= tol <= sys.float_info.max:
-        raise CliInputError("el_tol must be a finite non-negative number")
+        raise ValueError("el_tol must be a finite non-negative number")
     return float(tol)
 
 
@@ -156,11 +152,11 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
-        raise CliInputError(f"file not found: {path}")
+        raise ValueError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path} is not valid JSON: {exc}")
+        raise ValueError(f"{path} is not valid JSON: {exc}")
     except RecursionError:  # the json module recurses on nested arrays and objects
-        raise CliInputError(f"{path} is not valid JSON: nested too deeply")
+        raise ValueError(f"{path} is not valid JSON: nested too deeply")
 
 
 def _load_problem(args) -> tuple:
@@ -168,18 +164,18 @@ def _load_problem(args) -> tuple:
     and stationarity tolerance it describes."""
     raw = _load_json(args.problem)
     if not isinstance(raw, dict):
-        raise CliInputError("problem file must contain a JSON object")
+        raise ValueError("problem file must contain a JSON object")
     try:
         integrand = raw["integrand"]
         a, b = raw["interval"]["a"], raw["interval"]["b"]
     except (KeyError, TypeError):
         a = b = None
     if not (_is_number(a) and _is_number(b)):
-        raise CliInputError(
+        raise ValueError(
             'problem file needs "integrand" and "interval": {"a": ..., "b": ...}')
     extremal = raw.get("extremal", "0")
     if not isinstance(integrand, str) or not isinstance(extremal, str):
-        raise CliInputError("integrand and extremal must be expression strings")
+        raise ValueError("integrand and extremal must be expression strings")
     grid_n = _resolve_grid_n(args.grid_n, raw.get("grid_n"))
     el_tol = _resolve_el_tol(args.el_tol, raw.get("el_tol", _DEFAULT_EL_TOL))
     a, b = float(a), float(b)
@@ -197,13 +193,6 @@ def _exit_for(kind: VerdictKind) -> int:
     return EXIT_PRECONDITION
 
 
-def _reported_length_bound(cert: Certificate) -> Optional[float]:
-    # informative even when the verdict is Inconclusive or unconditional
-    if cert.p_min > 0.0 and cert.q_min < 0.0:
-        return length_bound(cert.p_min, cert.q_min)
-    return None
-
-
 def _certificate_block(cert: Certificate) -> dict:
     return {
         "verdict": cert.verdict.kind.value,
@@ -212,7 +201,8 @@ def _certificate_block(cert: Certificate) -> dict:
         "p_min": cert.p_min,
         "q_min": cert.q_min,
         "interval_length": cert.interval_length,
-        "length_bound": _reported_length_bound(cert),
+        # informative even when the verdict is Inconclusive
+        "length_bound": length_bound(cert.p_min, cert.q_min) if cert.p_min > 0.0 else None,
         "quad_coefficient": cert.quad_coefficient,
         "grid_n": cert.grid_n,
         "k_extremum_note": None,
@@ -277,7 +267,7 @@ def _parse_ladder(text: str) -> tuple:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise CliInputError("--ladder expects comma-separated numbers")
+        raise ValueError("--ladder expects comma-separated numbers")
 
 
 def cmd_verify(args) -> int:
@@ -328,17 +318,17 @@ def cmd_verify(args) -> int:
 
 def _spec_from_json(raw: dict) -> GeneratorSpec:
     if not isinstance(raw, dict):
-        raise CliInputError("generator spec must be a JSON object")
+        raise ValueError("generator spec must be a JSON object")
     for name in ("a", "b", "C"):
         if name in raw and not _is_number(raw[name]):
-            raise CliInputError(f"invalid generator spec: {name} must be a number")
+            raise ValueError(f"invalid generator spec: {name} must be a number")
     a = float(raw.get("a", 0.0))
     b = float(raw.get("b", 1.0))
     y0_text = raw.get("y0")
     y0 = None
     if y0_text is not None:
         if not isinstance(y0_text, str):
-            raise CliInputError("y0 must be an expression string or null")
+            raise ValueError("y0 must be an expression string or null")
         y0 = Extremal.from_text(y0_text, a, b)
     try:
         return GeneratorSpec(
@@ -352,7 +342,7 @@ def _spec_from_json(raw: dict) -> GeneratorSpec:
             y0=y0,
         )
     except (TypeError, ValueError) as exc:
-        raise CliInputError(f"invalid generator spec: {exc}")
+        raise ValueError(f"invalid generator spec: {exc}")
 
 
 def _spec_echo(spec: GeneratorSpec) -> dict:
@@ -375,7 +365,7 @@ def _built_echo(spec: GeneratorSpec, integrand: Integrand, extremal: Extremal) -
 
 def cmd_generate(args) -> int:
     if (args.spec is None) == (args.corpus is None):
-        raise CliInputError("generate expects a spec file or --corpus SEED COUNT")
+        raise ValueError("generate expects a spec file or --corpus SEED COUNT")
     if args.corpus is not None:
         seed, count = args.corpus
         problems = [{"index": index, **_built_echo(spec, integrand, extremal),
@@ -398,7 +388,7 @@ def cmd_generate(args) -> int:
     cert = certify(integrand, extremal, grid)
     warnings = []
     rho_zz = diff(diff(spec.rho, "z"), "z")
-    if rho_zz.op != "const" or rho_zz.value != 0.0:
+    if rho_zz not in _ZEROS:
         warnings.append(
             "rho adds slope dependence beyond the quadratic term; the "
             "certificate below still decides the built problem numerically.")
@@ -495,7 +485,7 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except (ValueError, TypeError, OSError, OverflowError, MemoryError,
             GeneratorError, AccessoryIntegrationError) as exc:
-        # CliInputError, ParseError and EvalDomainError are ValueErrors;
+        # ParseError and EvalDomainError are ValueErrors;
         # OverflowError comes from a JSON integer too large for a float
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -28,6 +28,7 @@ from .expr import (
     X,
     Y,
     ZERO,
+    _ZEROS,
     Expr,
     Program,
     _postorder,
@@ -89,6 +90,8 @@ class GeneratorSpec:
         _require_scope(self.pfun, frozenset({"x"}), "pfun")
         _require_scope(self.rho, frozenset({"x", "y", "z"}), "rho")
         object.__setattr__(self, "C", float(self.C))
+        if not math.isfinite(self.C):
+            raise ValueError("C must be a finite number")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         if not self.a < self.b:
@@ -140,16 +143,11 @@ class BuildInfo:
 _POLY_OPS = frozenset({"const", "var", "add", "sub", "mul", "neg", "pow"})
 
 
-def _is_zero(e: Expr) -> bool:
-    # by value: interned nodes keep const(-0.0) apart from ZERO
-    return e.op == "const" and e.value == 0.0
-
-
 def _poly_coefficients(e: Expr) -> Optional[list]:
     """Power-basis coefficients via repeated exact differentiation at x = 0;
     None past _MAX_POLY_TERMS of them."""
     chain = [simplify(e)]
-    while not _is_zero(chain[-1]) and len(chain) <= _MAX_POLY_TERMS:
+    while chain[-1] not in _ZEROS and len(chain) <= _MAX_POLY_TERMS:
         chain.append(diff(chain[-1], "x"))
     values = Program(chain[:-1])({"x": 0.0})
     if len(chain) > _MAX_POLY_TERMS:
@@ -294,7 +292,7 @@ def _anti_product(poly: Expr, oscillator: Expr) -> Optional[Expr]:
         else:
             result = Expr("add" if positive else "sub", (result, term))
         current = diff(current, "x")
-        if _is_zero(current):
+        if current in _ZEROS:
             return simplify(result)
         positive = not positive
     return None

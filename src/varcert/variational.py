@@ -162,11 +162,6 @@ class Extremal:
         """The path and its first two derivatives."""
         return Program((self.y0, self.y0p, self.y0pp))
 
-    def sample(self, xs) -> tuple:
-        """Values of (y0, y0', y0'') at the given abscissae."""
-        xs = np.asarray(xs, dtype=float)
-        return self.program({"x": xs})
-
 
 def ensure_same_interval(y0: Extremal, grid: Grid) -> None:
     if grid.a != y0.a or grid.b != y0.b:
@@ -183,7 +178,7 @@ def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
 
 
 def _coefficients(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
-    yv, ypv, yppv = y0.sample(xs)
+    yv, ypv, yppv = y0.program({"x": xs})
     # the partials are finite, but q may overflow; solve_accessory judges that
     with np.errstate(over="ignore", invalid="ignore"):
         return _p_and_q(f.profile_program({"x": xs, "y": yv, "z": ypv}), ypv, yppv)
@@ -207,7 +202,7 @@ def certify_samples(f: Integrand, y0: Extremal, xs) -> tuple:
 
 
 def _certify_chunk(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
-    yv, ypv, yppv = y0.sample(xs)
+    yv, ypv, yppv = y0.program({"x": xs})
     partials = f.certify_program({"x": xs, "y": yv, "z": ypv})
     f_y, f_xz, f_yz, f_zz = partials[:4]
     # the partials are finite, but the residual and q may overflow; a nan

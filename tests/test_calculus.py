@@ -51,6 +51,17 @@ def test_grid_validation():
     assert np.all(np.isfinite(Grid(-1e308, 0.0, 8).nodes))
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 5e-324), (1.0, 1.000000000000002)])
+def test_grid_nodes_must_increase(a, b):
+    # (b - a)/512 underflows to 0, or is below half an ulp of the ends
+    with pytest.raises(ValueError, match=r"^grid step \(b - a\)/n is below float resolution$"):
+        Grid(a, b, 512)
+
+
+def test_grid_of_a_few_ulps_is_valid_when_its_nodes_increase():
+    assert np.all(np.diff(Grid(1.0, 1.000000000000002, 8).nodes) > 0.0)
+
+
 def test_sampled_path_shape_check():
     grid = Grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):

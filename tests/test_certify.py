@@ -32,7 +32,7 @@ from varcert import (
 )
 from varcert import expr
 from varcert.calculus import SampledPath
-from varcert.certify import _clamped_spline, _snapped_knots
+from varcert.certify import _clamped_spline, _normalized, _snapped_knots
 from varcert.cli import main
 from varcert.expr import CHUNK, Expr, Program, X, Y, Z, chunked, const, parse
 from varcert.variational import certify_samples
@@ -164,6 +164,17 @@ def test_certificate_invariant():
         Certificate(verdict, 1.0, -1.0, 1.0, quad_coefficient=0.3, grid_n=8)
 
 
+def test_certificate_coefficient_must_be_positive():
+    verdict = Verdict(VerdictKind.MINIMUM_UNCONDITIONAL, 0.0)
+    with pytest.raises(ValueError, match="^quad_coefficient must be positive$"):
+        Certificate(verdict, 1.0, 1.0, 1.0, quad_coefficient=0.0, grid_n=8)
+    # q_min = 0 on an interval so long that pi^2 p / (2 (pi^2 + 16 L^2))
+    # underflows: the verdict is unconditional, but no positive c remains
+    with pytest.raises(ValueError, match="^quad_coefficient must be positive$"):
+        certify(Integrand.from_text("z^2"), Extremal.zero(0.0, 1e200),
+                Grid(0.0, 1e200, 8))
+
+
 def test_verdict_and_coefficient_agree_at_the_boundary():
     # the classification and the coefficient use the same predicate, so a
     # certified verdict always carries a positive coefficient even when the
@@ -178,6 +189,9 @@ def test_verdict_and_coefficient_agree_at_the_boundary():
             assert coefficient is not None and coefficient > 0.0
         else:
             assert coefficient is None
+    # pi^2 p and 16 L^2 |q| both overflow: no bound, and no nan coefficient
+    assert classify(1e308, -1e308, 0.0, 0.0, 1e10).kind is VerdictKind.INCONCLUSIVE
+    assert quad_coefficient(1e308, -1e308, 0.0, 1e10) is None
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +364,13 @@ def test_family_paths_normalized_zero_boundary():
             assert size == pytest.approx(1.0, rel=1e-12)
 
 
+def test_zero_perturbation_is_rejected():
+    # scaling a direction to unit C1 size needs something to scale
+    grid = Grid(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="^perturbation is identically zero$"):
+        _normalized(grid, np.zeros(9), np.zeros(9))
+
+
 def test_family_deterministic():
     grid = Grid(0.0, 1.0, 64)
     a = PerturbationFamily(RANDOM_SPLINE, count=3, seed=11).paths(grid)
@@ -491,7 +512,7 @@ def test_empirical_margin_matches_definition():
     fam = PerturbationFamily(SINE_BASIS, count=1, ladder=(0.1,))
     report = empirical_verify(f, y0, cert, fam, grid)
     label, eta = next(fam.paths(grid))
-    base_y, base_yp, _ = y0.sample(grid.nodes)
+    base_y, base_yp, _ = y0.program({"x": grid.nodes})
     bumped = SampledPath(grid, base_y + 0.1 * eta.y, base_yp + 0.1 * eta.yp)
     gap = (functional_value(f, bumped)
            - functional_value(f, SampledPath(grid, base_y, base_yp)))

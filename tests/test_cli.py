@@ -209,6 +209,20 @@ def test_overflowing_interval_length_is_one_error_line(tmp_path, capsys, command
         EXIT_ERROR, "", "error: grid length b - a overflows\n")
 
 
+@pytest.mark.parametrize("command", ["certify", "compare", "verify"])
+@pytest.mark.parametrize("integrand, a, b", [
+    ("z^2+y^2", 0.0, 5e-324),
+    ("z^2-5e30*y^2", 1.0, 1.000000000000002),
+])
+def test_grid_step_below_float_resolution_is_one_error_line(tmp_path, capsys, command,
+                                                            integrand, a, b):
+    # on [0, 5e-324] the step underflows to 0; on [1, 1 + 9 ulp] 512 cells
+    # repeat nodes, and compare's Hermite resampling divided by a zero width
+    path = _problem(tmp_path, integrand=integrand, interval={"a": a, "b": b})
+    assert _run(capsys, [command, path]) == (
+        EXIT_ERROR, "", "error: grid step (b - a)/n is below float resolution\n")
+
+
 def test_missing_interval_exits_one(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"integrand": "z^2"}), encoding="utf-8")
@@ -384,6 +398,13 @@ def test_verify_on_a_very_short_interval_is_one_error_line(tmp_path, capsys):
         EXIT_ERROR, "", "error: path samples must be finite\n")
 
 
+def test_verify_on_a_subnormal_interval_is_one_error_line(tmp_path, capsys):
+    # the nodes are distinct subnormals, but the sine frequency overflows
+    path = _problem(tmp_path, integrand="z^2+y^2", interval={"a": 0, "b": 1e-310})
+    assert _run(capsys, ["verify", path]) == (
+        EXIT_ERROR, "", "error: path samples must be finite\n")
+
+
 def test_verify_failure_exits_three(tmp_path, capsys, monkeypatch):
     # a claimed coefficient of 10 where 1 is certified: no direction grows
     # that fast at any rung
@@ -465,6 +486,8 @@ def test_generate_with_a_designated_path(tmp_path, capsys):
     ('{"P": "z*y"}', "invalid generator spec: P may only use ['x', 'y']; found ['z']"),
     ('{"y0": 5}', "y0 must be an expression string or null"),
     ('{"P": "x*y", "a": -1e308, "b": 1e308}', "grid length b - a overflows"),
+    # JSON reads 1e400 as inf, and "inf*z" would not parse back
+    ('{"C": 1e400, "P": "x*y"}', "invalid generator spec: C must be a finite number"),
 ])
 def test_malformed_generator_specs_are_one_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "genspec.json"

@@ -27,7 +27,7 @@ from varcert import (
     unparse,
 )
 from varcert import generator
-from varcert.certify import MINIMUM_KINDS
+from varcert.certify import MINIMUM_KINDS, VerdictKind
 from varcert.expr import ZERO, X, Expr, _postorder, const, free_vars
 from varcert.variational import certify_samples
 
@@ -46,6 +46,12 @@ def test_spec_scope_validation():
     with pytest.raises(ValueError):
         GeneratorSpec(qfun=parse("z^2"))
     GeneratorSpec(rho=parse("y*z"))  # rho may use all three
+
+
+@pytest.mark.parametrize("C", [math.inf, -math.inf, math.nan])
+def test_spec_constant_must_be_finite(C):
+    with pytest.raises(ValueError, match="^C must be a finite number$"):
+        GeneratorSpec(P=parse("x*y"), C=C)
 
 
 def test_spec_interval_validation():
@@ -423,6 +429,15 @@ def test_table_fallback_produces_certified_problem():
     assert cert.verdict.kind in MINIMUM_KINDS
 
 
+def test_stalled_fit_is_a_generator_error(monkeypatch):
+    # a quartic cannot follow exp(3 x^2) on [0, 1] to the accepted residual
+    monkeypatch.setattr(generator, "_FIT_DEGREES", (4,))
+    message = (r"^no closed-form antiderivative and polynomial fitting stalled "
+               r"\(best derivative residual 4\.076e-01\)$")
+    with pytest.raises(GeneratorError, match=message):
+        build(GeneratorSpec(P=parse("exp(3*x^2)*y"), a=0.0, b=1.0))
+
+
 def test_symbolic_path_reports_no_table():
     _, info = build(GeneratorSpec(P=parse("sin(x)*y")))
     assert info.a_path == "symbolic"
@@ -460,6 +475,20 @@ def test_corpus_extremal_matches_spec(corpus100):
             assert unparse(y0.y0) == unparse(ZERO)
         else:
             assert y0 is spec.y0
+
+
+def test_corpus_redraws_near_threshold_instances(monkeypatch):
+    # with the safety margin at 1, an under-length instance must have a
+    # length bound above twice the interval length, or it is redrawn
+    plain = sample_corpus(0, 10, 0.0, 0.6)
+    monkeypatch.setattr(generator, "_LENGTH_SAFETY", 1.0)
+    strict = sample_corpus(0, 10, 0.0, 0.6)
+    assert any(f1.f is not f2.f for (_, f1, _), (_, f2, _) in zip(plain, strict))
+    grid = Grid(0.0, 0.6, generator._SCREEN_N)
+    for _, f, y0 in strict:
+        verdict = certify(f, y0, grid).verdict
+        if verdict.kind is VerdictKind.MINIMUM_UNDER_LENGTH:
+            assert verdict.length_bound - grid.length > grid.length
 
 
 def test_corpus_prefix_property():

@@ -41,6 +41,8 @@ REMOVED = (
 # each is a dotted path below varcert
 DELETED = (
     "certify.PerturbationFamily._directions",
+    "cli.CliInputError",
+    "cli._reported_length_bound",
     "expr.Expr.__add__",
     "expr.Expr.__mul__",
     "expr.Expr.__neg__",
@@ -62,8 +64,10 @@ DELETED = (
     "expr.sinh",
     "expr.sqrt",
     "expr.tan",
+    "generator._is_zero",
     "variational.Extremal.boundary_values",
     "variational.Extremal.grid",
+    "variational.Extremal.sample",
     "variational.LegendreProfile",
     "variational.el_residual",
     "variational.el_residual_at",

@@ -49,7 +49,7 @@ def test_extremal_interval_validation():
 def test_extremal_sampling_derivatives():
     y0 = Extremal.from_text("sin(x)", 0.0, 2.0)
     xs = np.linspace(0.0, 2.0, 9)
-    ys, yps, ypps = y0.sample(xs)
+    ys, yps, ypps = y0.program({"x": xs})
     assert np.allclose(ys, np.sin(xs))
     assert np.allclose(yps, np.cos(xs))
     assert np.allclose(ypps, -np.sin(xs))
@@ -98,12 +98,12 @@ def _el_residual_fd(f, y0, grid):
     h = (y0.b - y0.a) * 1e-5
 
     def momentum(xs):
-        yv, ypv, _ = y0.sample(xs)
+        yv, ypv, _ = y0.program({"x": xs})
         return evaluate(f.f_z, {"x": xs, "y": yv, "z": ypv})
 
     xs = grid.nodes
     dfz = (momentum(xs + h) - momentum(xs - h)) / (2.0 * h)
-    yv, ypv, _ = y0.sample(xs)
+    yv, ypv, _ = y0.program({"x": xs})
     return evaluate(f.f_y, {"x": xs, "y": yv, "z": ypv}) - dfz
 
 
