@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .calculus import (
     Grid,
     SampledPath,
-    cumulative_integral,
     friedrichs_coefficient,
     friedrichs_margin,
     h1_norm_sq,
@@ -50,14 +49,12 @@ from .expr import (
     var,
 )
 from .generator import (
-    AntiderivativeTable,
     BuildInfo,
     GeneratorError,
     GeneratorSpec,
     antiderivative,
     build,
     sample_corpus,
-    tabulate_antiderivative,
 )
 from .jacobi import (
     AccessoryIntegrationError,
@@ -77,7 +74,6 @@ from .variational import (
 __all__ = [
     "AccessoryIntegrationError",
     "AccessorySolution",
-    "AntiderivativeTable",
     "BuildInfo",
     "Certificate",
     "CriteriaComparison",
@@ -105,7 +101,6 @@ __all__ = [
     "classify",
     "compare_criteria",
     "const",
-    "cumulative_integral",
     "diff",
     "empirical_verify",
     "evaluate",
@@ -124,7 +119,6 @@ __all__ = [
     "simplify",
     "solve_accessory",
     "substitute",
-    "tabulate_antiderivative",
     "unparse",
     "var",
     "__version__",

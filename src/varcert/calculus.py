@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -118,22 +117,3 @@ def friedrichs_margin(path: SampledPath) -> float:
     coeff = friedrichs_coefficient(path.grid.length)
     return coeff * integrate(path.yp * path.yp, path.grid) - integrate(path.y * path.y, path.grid)
 
-
-def cumulative_integral(rate: Callable[[np.ndarray], np.ndarray], grid: Grid) -> np.ndarray:
-    """Antiderivative samples F(x_i) with F(a) = 0, one Simpson cell at a time.
-
-    ``rate`` must accept an array of abscissae and return samples; midpoint
-    values are used so each cell is a full Simpson panel.
-    """
-    at_nodes = np.asarray(rate(grid.nodes), dtype=float)
-    at_mids = np.asarray(rate(grid.midpoints), dtype=float)
-    if at_nodes.shape != (grid.n + 1,) or at_mids.shape != (grid.n,):
-        raise ValueError("rate callable must be vectorized over abscissae")
-    out = np.empty(grid.n + 1)
-    out[0] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = grid.h / 6.0 * (at_nodes[:-1] + 4.0 * at_mids + at_nodes[1:])
-        np.cumsum(cells, out=out[1:])
-    if not np.all(np.isfinite(out)):
-        raise ValueError("cumulative integral produced non-finite values")
-    return out

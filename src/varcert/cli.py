@@ -75,12 +75,6 @@ _NOTES = {
     ),
 }
 
-_SOBOLEV_NOTE = (
-    "Growth is measured against the squared first-order Sobolev norm of the "
-    "deviation: the certified gap scales with the integral of the deviation "
-    "squared plus the slope deviation squared."
-)
-
 
 # ---------------------------------------------------------------------------
 # deterministic JSON rendering
@@ -205,7 +199,6 @@ def _certificate_block(cert: Certificate) -> dict:
         "length_bound": length_bound(cert.p_min, cert.q_min) if cert.p_min > 0.0 else None,
         "quad_coefficient": cert.quad_coefficient,
         "grid_n": cert.grid_n,
-        "k_extremum_note": None,
     }
 
 
@@ -233,8 +226,6 @@ def cmd_certify(args) -> int:
     problem, f, y0, grid, el_tol = _load_problem(args)
     cert = certify(f, y0, grid, el_tol=el_tol)
     report = _certificate_report(args, problem, cert)
-    if args.sobolev:
-        report["k_extremum_note"] = _SOBOLEV_NOTE
     if args.plot_data:
         _, p, q = certify_samples(f, y0, grid.nodes)
         _write_plot_data(args.plot_data, grid, p, q)
@@ -396,12 +387,6 @@ def cmd_generate(args) -> int:
         "a_path": info.a_path,
         "fit_degree": info.fit_degree,
         "fit_error": info.fit_error,
-        "table": None if info.table is None else {
-            "a": info.table.grid.a,
-            "b": info.table.grid.b,
-            "n": info.table.grid.n,
-            "values": info.table.values,
-        },
     }
     report = {
         "command": "generate",
@@ -435,8 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the evaluation grid size")
     p_cert.add_argument("--el-tol", type=float, default=None,
                         help="stationarity residual tolerance")
-    p_cert.add_argument("--sobolev", action="store_true",
-                        help="annotate the report with the norm the bound uses")
     p_cert.add_argument("--plot-data", metavar="CSV", default=None,
                         help="write x,p,q columns for plotting")
     p_cert.set_defaults(func=cmd_certify)

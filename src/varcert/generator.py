@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .calculus import Grid, cumulative_integral
+from .calculus import Grid
 from .certify import MINIMUM_KINDS, VerdictKind, certify
 from .expr import (
     ONE,
@@ -43,7 +43,6 @@ from .expr import (
 )
 from .variational import Extremal, Integrand, LegendreError
 
-_TABLE_N = 2048
 _FIT_DEGREES = (4, 6, 8, 10, 12, 14, 16, 20, 24)
 _FIT_TARGET = 1e-10
 _FIT_ACCEPT = 1e-8
@@ -103,38 +102,13 @@ class GeneratorSpec:
                 raise ValueError("designated path interval must match (a, b)")
 
 
-@dataclass(frozen=True, eq=False)
-class AntiderivativeTable:
-    """Node samples of A(x), the cumulative integral of a rate function from a."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n + 1,):
-            raise ValueError("table requires one value per node")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("table values must be finite")
-        if values[0] != 0.0:
-            raise ValueError("antiderivative must vanish at the left endpoint")
-        object.__setattr__(self, "values", values)
-
-
-def tabulate_antiderivative(rate: Callable[[np.ndarray], np.ndarray], a: float,
-                            b: float) -> AntiderivativeTable:
-    grid = Grid(a, b, _TABLE_N)
-    return AntiderivativeTable(grid, cumulative_integral(rate, grid))
-
-
 @dataclass(frozen=True)
 class BuildInfo:
     """How the antiderivative A(x) was materialized."""
 
-    a_path: str  # "symbolic" or "table"
+    a_path: str  # "symbolic", or "table" for the Chebyshev fit
     fit_degree: Optional[int] = None
     fit_error: Optional[float] = None
-    table: Optional[AntiderivativeTable] = None
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +281,13 @@ def _materialize(rate: Expr, a: float, b: float) -> tuple:
     if closed is not None:
         at_a = float(evaluate(closed, {"x": a}))
         return simplify(Expr("sub", (closed, const(at_a)))), BuildInfo("symbolic")
-    return _fit_from_table(rate, a, b)
+    return _fit_antiderivative(rate, a, b)
 
 
-def _fit_from_table(rate: Expr, a: float, b: float) -> tuple:
+def _fit_antiderivative(rate: Expr, a: float, b: float) -> tuple:
     def rate_samples(xs):
         return evaluate(rate, {"x": np.asarray(xs, dtype=float)})
 
-    table = tabulate_antiderivative(rate_samples, a, b)
     dense = np.linspace(a, b, 4097)
     rate_dense = rate_samples(dense)
     scale = 1.0 + float(np.max(np.abs(rate_dense)))
@@ -336,14 +309,16 @@ def _fit_from_table(rate: Expr, a: float, b: float) -> tuple:
             "no closed-form antiderivative and polynomial fitting stalled "
             f"(best derivative residual {best_resid:.3e})"
         )
-    return best_expr, BuildInfo("table", fit_degree=best_degree,
-                                fit_error=best_resid, table=table)
+    return best_expr, BuildInfo("table", fit_degree=best_degree, fit_error=best_resid)
 
 
 def _poly_antiderivative_expr(rate_samples, degree: int, a: float, b: float) -> Expr:
     """Exact antiderivative of a Chebyshev fit, expressed in the window variable."""
-    series = npcheb.Chebyshev.interpolate(rate_samples, degree, domain=[a, b])
-    power = npcheb.cheb2poly(series.coef)
+    # a rate near the float limit overflows here; the non-finite
+    # coefficients then fail evaluation with one domain error
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = npcheb.Chebyshev.interpolate(rate_samples, degree, domain=[a, b])
+        power = npcheb.cheb2poly(series.coef)
     anti = [c / (k + 1.0) for k, c in enumerate(power)]
     u_expr = simplify(Expr("div", (
         Expr("sub", (Expr("mul", (const(2.0), X)), const(a + b))),

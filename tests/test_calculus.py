@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 from varcert import (
     Grid,
     SampledPath,
-    cumulative_integral,
     friedrichs_coefficient,
     friedrichs_margin,
     h1_norm_sq,
@@ -105,19 +104,6 @@ def test_overflowing_sums_raise():
     grid = Grid(0.0, 4.0, 4)
     with pytest.raises(ValueError, match="^integral overflowed$"):
         integrate(np.full(5, 1e308), grid)
-    with pytest.raises(ValueError, match="^cumulative integral produced non-finite values$"):
-        cumulative_integral(lambda xs: np.full(np.shape(xs), 1e308), grid)
-
-
-def test_cumulative_integral_matches_antiderivative():
-    grid = Grid(0.0, 2.0, 256)
-
-    def rate(xs):
-        return np.cos(np.asarray(xs))
-
-    values = cumulative_integral(rate, grid)
-    assert values[0] == 0.0
-    assert np.max(np.abs(values - np.sin(grid.nodes))) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from varcert import (
-    AntiderivativeTable,
     Extremal,
     GeneratorError,
     GeneratorSpec,
@@ -23,7 +22,6 @@ from varcert import (
     sample_corpus,
     simplify,
     substitute,
-    tabulate_antiderivative,
     unparse,
 )
 from varcert import generator
@@ -323,24 +321,6 @@ def test_polynomial_coefficients_are_computed_once_per_node(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# tables
-
-
-def test_tabulate_antiderivative_cosine():
-    table = tabulate_antiderivative(np.cos, 0.0, 2.0)
-    assert table.values[0] == 0.0
-    assert np.max(np.abs(table.values - np.sin(table.grid.nodes))) < 1e-10
-
-
-def test_table_validation():
-    grid = Grid(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        AntiderivativeTable(grid, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))  # nonzero start
-    with pytest.raises(ValueError):
-        AntiderivativeTable(grid, np.zeros(3))
-
-
-# ---------------------------------------------------------------------------
 # template assembly
 
 
@@ -412,7 +392,7 @@ def test_build_dispatch():
     assert f.f != g.f
     assert shifted_info.a_path == info.a_path == "table"
     assert shifted_info.fit_degree == info.fit_degree
-    assert np.array_equal(shifted_info.table.values, info.table.values)
+    assert shifted_info.fit_error == info.fit_error
 
 
 def test_table_fallback_produces_certified_problem():
@@ -421,7 +401,6 @@ def test_table_fallback_produces_certified_problem():
     assert info.a_path == "table"
     assert info.fit_degree is not None
     assert info.fit_error is not None and info.fit_error < 1e-8 * 3.0
-    assert info.table is not None and info.table.values[0] == 0.0
     grid = Grid(0.0, 0.6, 256)
     zero = Extremal.zero(0.0, 0.6)
     cert = certify(f, zero, grid)
@@ -441,7 +420,7 @@ def test_stalled_fit_is_a_generator_error(monkeypatch):
 def test_symbolic_path_reports_no_table():
     _, info = build(GeneratorSpec(P=parse("sin(x)*y")))
     assert info.a_path == "symbolic"
-    assert info.table is None and info.fit_degree is None
+    assert info.fit_degree is None and info.fit_error is None
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "varcert"
 
 REMOVED = (
+    "AntiderivativeTable",
     "LegendreProfile",
     "QuadraticDecomposition",
     "accessory_value",
@@ -27,6 +28,7 @@ REMOVED = (
     "build_zero",
     "build_zero_with_info",
     "coefficient_samples",
+    "cumulative_integral",
     "decompose",
     "el_residual",
     "el_residual_fd",
@@ -35,6 +37,7 @@ REMOVED = (
     "legendre_profile",
     "main",
     "sample_expr",
+    "tabulate_antiderivative",
 )
 
 # deleted where they were defined, not only dropped from the package surface;
@@ -42,6 +45,7 @@ REMOVED = (
 DELETED = (
     "certify.PerturbationFamily._directions",
     "cli.CliInputError",
+    "cli._SOBOLEV_NOTE",
     "cli._reported_length_bound",
     "expr.Expr.__add__",
     "expr.Expr.__mul__",
@@ -64,6 +68,8 @@ DELETED = (
     "expr.sinh",
     "expr.sqrt",
     "expr.tan",
+    "generator._TABLE_N",
+    "generator._fit_from_table",
     "generator._is_zero",
     "variational.Extremal.boundary_values",
     "variational.Extremal.grid",
