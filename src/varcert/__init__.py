@@ -59,7 +59,6 @@ from .generator import (
 from .jacobi import (
     AccessoryIntegrationError,
     AccessorySolution,
-    CriteriaComparison,
     compare_criteria,
     first_conjugate_point,
     solve_accessory,
@@ -76,7 +75,6 @@ __all__ = [
     "AccessorySolution",
     "BuildInfo",
     "Certificate",
-    "CriteriaComparison",
     "EmpiricalReport",
     "EvalDomainError",
     "Expr",

@@ -126,9 +126,7 @@ class Certificate:
     verdict: Verdict
     p_min: float
     q_min: float
-    interval_length: float
     quad_coefficient: Optional[float]
-    grid_n: int
 
     def __post_init__(self):
         has_coefficient = self.quad_coefficient is not None
@@ -157,9 +155,7 @@ def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8) -> Cer
         verdict=verdict,
         p_min=p_min,
         q_min=q_min,
-        interval_length=grid.length,
         quad_coefficient=coefficient,
-        grid_n=grid.n,
     )
 
 
@@ -337,10 +333,8 @@ class PerturbationCheck:
 
 @dataclass(frozen=True)
 class EmpiricalReport:
-    coefficient: float
     abs_tol: float
     base_value: float
-    ladder: tuple
     checks: tuple
     passed: bool
 
@@ -386,7 +380,7 @@ def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
         if threshold is None:
             passed = False
         checks.append(PerturbationCheck(label, threshold, tuple(margins)))
-    return EmpiricalReport(coefficient, abs_tol, base_value, fam.ladder, tuple(checks), passed)
+    return EmpiricalReport(abs_tol, base_value, tuple(checks), passed)
 
 
 def _x_part_values(f: Integrand, xs: np.ndarray) -> Optional[tuple]:

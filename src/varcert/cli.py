@@ -19,8 +19,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .calculus import Grid
 from .certify import (
@@ -85,19 +83,16 @@ def _render(value) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value):
             return "null"
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return format(v, ".17g")
+        if math.isinf(value):
+            return '"inf"' if value > 0 else '"-inf"'
+        return format(value, ".17g")
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        return _render(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_render(item) for item in value) + "]"
     if isinstance(value, dict):
@@ -187,24 +182,24 @@ def _exit_for(kind: VerdictKind) -> int:
     return EXIT_PRECONDITION
 
 
-def _certificate_block(cert: Certificate) -> dict:
+def _certificate_block(cert: Certificate, grid: Grid) -> dict:
     return {
         "verdict": cert.verdict.kind.value,
         "note": _NOTES[cert.verdict.kind],
         "el_residual_max": cert.verdict.el_residual_max,
         "p_min": cert.p_min,
         "q_min": cert.q_min,
-        "interval_length": cert.interval_length,
+        "interval_length": grid.length,
         # informative even when the verdict is Inconclusive
         "length_bound": length_bound(cert.p_min, cert.q_min) if cert.p_min > 0.0 else None,
         "quad_coefficient": cert.quad_coefficient,
-        "grid_n": cert.grid_n,
+        "grid_n": grid.n,
     }
 
 
-def _certificate_report(args, problem: dict, cert: Certificate) -> dict:
+def _certificate_report(args, problem: dict, cert: Certificate, grid: Grid) -> dict:
     return {"command": args.command, "version": __version__, "problem": problem,
-            **_certificate_block(cert)}
+            **_certificate_block(cert, grid)}
 
 
 def _write_plot_data(path: str, grid: Grid, p, q, U=None) -> None:
@@ -225,7 +220,7 @@ def _write_plot_data(path: str, grid: Grid, p, q, U=None) -> None:
 def cmd_certify(args) -> int:
     problem, f, y0, grid, el_tol = _load_problem(args)
     cert = certify(f, y0, grid, el_tol=el_tol)
-    report = _certificate_report(args, problem, cert)
+    report = _certificate_report(args, problem, cert, grid)
     if args.plot_data:
         _, p, q = certify_samples(f, y0, grid.nodes)
         _write_plot_data(args.plot_data, grid, p, q)
@@ -235,20 +230,19 @@ def cmd_certify(args) -> int:
 
 def cmd_compare(args) -> int:
     problem, f, y0, grid, _ = _load_problem(args)
-    comparison = compare_criteria(f, y0, grid)
+    solution = compare_criteria(f, y0, grid)
     report = {
         "command": "compare",
         "version": __version__,
         "problem": problem,
-        "p_min": comparison.p_min,
-        "q_min": comparison.q_min,
-        "length_new": comparison.length_new,
-        "length_jacobi": comparison.length_jacobi,
-        "ratio": comparison.ratio,
-        "conjugate_point": comparison.conjugate_point,
+        "p_min": solution.p_min,
+        "q_min": solution.q_min,
+        "length_new": solution.length_new,
+        "length_jacobi": solution.length_jacobi,
+        "ratio": solution.ratio,
+        "conjugate_point": solution.conjugate_point,
     }
     if args.plot_data:
-        solution = comparison.solution
         _write_plot_data(args.plot_data, grid, solution.p_of_x, solution.q_of_x, solution.U)
     _emit(report)
     return EXIT_OK
@@ -264,7 +258,7 @@ def _parse_ladder(text: str) -> tuple:
 def cmd_verify(args) -> int:
     problem, f, y0, grid, el_tol = _load_problem(args)
     cert = certify(f, y0, grid, el_tol=el_tol)
-    report = _certificate_report(args, problem, cert)
+    report = _certificate_report(args, problem, cert, grid)
     if cert.quad_coefficient is None:
         report["empirical"] = None
         report["note"] = (
@@ -281,20 +275,20 @@ def cmd_verify(args) -> int:
     )
     results = [empirical_verify(f, y0, cert, fam, grid) for fam in families]
     checks = []
-    for result in results:
+    for fam, result in zip(families, results):
         for check in result.checks:
             checks.append({
                 "label": check.label,
                 "threshold": check.threshold,
                 "margins": [[eps, margin] for eps, margin
-                            in zip(result.ladder, check.margins)],
+                            in zip(fam.ladder, check.margins)],
             })
     passed = all(result.passed for result in results)
     report["empirical"] = {
-        "coefficient": results[0].coefficient,
+        "coefficient": cert.quad_coefficient,
         "abs_tol": results[0].abs_tol,
         "base_value": results[0].base_value,
-        "ladder": list(results[0].ladder),
+        "ladder": list(families[0].ladder),
         "checks": checks,
         "passed": passed,
     }
@@ -395,7 +389,7 @@ def cmd_generate(args) -> int:
         "ingredients": _spec_echo(spec),
         "problem": {**_built_echo(spec, integrand, extremal), "grid_n": grid.n},
         "provenance": provenance,
-        "certificate": _certificate_block(cert),
+        "certificate": _certificate_block(cert, grid),
         "warnings": warnings,
     }
     _emit(report)

@@ -15,7 +15,7 @@ ceil(log2 n) levels of elementwise 2x2 products, carried as M - I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,8 +39,14 @@ class AccessoryIntegrationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class AccessorySolution:
-    """U and V = p U' at the grid nodes, the node samples of p and q, and
-    the first conjugate point if any."""
+    """U and V = p U' at the grid nodes, the node samples of p and q, the
+    first conjugate point if any, and the length criterion beside it.
+
+    The last five fields are computed at construction. ``p_min`` and
+    ``q_min`` are the minima of the node samples; ``length_new`` is inf when
+    q_min >= 0 (no restriction); ``length_jacobi`` is inf when no conjugate
+    point exists in (a, b]. ``ratio`` is defined only when both are finite.
+    """
 
     grid: Grid
     U: np.ndarray
@@ -48,6 +54,25 @@ class AccessorySolution:
     p_of_x: np.ndarray
     q_of_x: np.ndarray
     conjugate_point: Optional[float]
+    p_min: float = field(init=False)
+    q_min: float = field(init=False)
+    length_new: float = field(init=False)
+    length_jacobi: float = field(init=False)
+    ratio: Optional[float] = field(init=False)
+
+    def __post_init__(self):
+        p_min = float(self.p_of_x.min())
+        q_min = float(self.q_of_x.min())
+        bound = length_bound(p_min, q_min)
+        length_new = math.inf if bound is None else bound
+        conjugate = self.conjugate_point
+        length_jacobi = math.inf if conjugate is None else conjugate - self.grid.a
+        ratio = None
+        if math.isfinite(length_new) and math.isfinite(length_jacobi):
+            ratio = length_jacobi / length_new
+        for name, value in (("p_min", p_min), ("q_min", q_min), ("length_new", length_new),
+                            ("length_jacobi", length_jacobi), ("ratio", ratio)):
+            object.__setattr__(self, name, value)
 
     @property
     def Up(self) -> np.ndarray:
@@ -181,42 +206,8 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True, eq=False)
-class CriteriaComparison:
-    """Length criterion versus conjugate-point baseline for one instance.
-
-    ``length_new`` is inf when q_min >= 0 (no restriction); ``length_jacobi``
-    is inf when no conjugate point exists in (a, b]. ``ratio`` is defined only
-    when both are finite.
-    """
-
-    p_min: float
-    q_min: float
-    length_new: float
-    length_jacobi: float
-    ratio: Optional[float]
-    conjugate_point: Optional[float]
-    solution: AccessorySolution
-
-
-def compare_criteria(f: Integrand, y0: Extremal, grid: Grid) -> CriteriaComparison:
-    """p_min and q_min are the minima of the accessory solution's node samples."""
-    solution = solve_accessory(f, y0, grid)
-    p_min = float(solution.p_of_x.min())
-    q_min = float(solution.q_of_x.min())
-    bound = length_bound(p_min, q_min)
-    length_new = math.inf if bound is None else bound
-    conjugate = solution.conjugate_point
-    length_jacobi = math.inf if conjugate is None else conjugate - grid.a
-    ratio = None
-    if math.isfinite(length_new) and math.isfinite(length_jacobi):
-        ratio = length_jacobi / length_new
-    return CriteriaComparison(
-        p_min=p_min,
-        q_min=q_min,
-        length_new=length_new,
-        length_jacobi=length_jacobi,
-        ratio=ratio,
-        conjugate_point=conjugate,
-        solution=solution,
-    )
+def compare_criteria(f: Integrand, y0: Extremal, grid: Grid) -> AccessorySolution:
+    """The length criterion beside the conjugate point: the accessory
+    solution, whose p_min, q_min, length_new, length_jacobi and ratio
+    are computed with it."""
+    return solve_accessory(f, y0, grid)

@@ -161,13 +161,13 @@ def test_verdict_invariant():
 def test_certificate_invariant():
     verdict = Verdict(VerdictKind.INCONCLUSIVE, 0.0)
     with pytest.raises(ValueError):
-        Certificate(verdict, 1.0, -1.0, 1.0, quad_coefficient=0.3, grid_n=8)
+        Certificate(verdict, 1.0, -1.0, quad_coefficient=0.3)
 
 
 def test_certificate_coefficient_must_be_positive():
     verdict = Verdict(VerdictKind.MINIMUM_UNCONDITIONAL, 0.0)
     with pytest.raises(ValueError, match="^quad_coefficient must be positive$"):
-        Certificate(verdict, 1.0, 1.0, 1.0, quad_coefficient=0.0, grid_n=8)
+        Certificate(verdict, 1.0, 1.0, quad_coefficient=0.0)
     # q_min = 0 on an interval so long that pi^2 p / (2 (pi^2 + 16 L^2))
     # underflows: the verdict is unconditional, but no positive c remains
     with pytest.raises(ValueError, match="^quad_coefficient must be positive$"):
@@ -487,10 +487,11 @@ def test_empirical_verify_dirichlet_passes_every_rung():
     grid = Grid(0.0, 1.0, 256)
     cert = certify(f, y0, grid)
     for kind, count in ((SINE_BASIS, 6), (RANDOM_SPLINE, 4)):
-        report = empirical_verify(f, y0, cert, PerturbationFamily(kind, count), grid)
+        family = PerturbationFamily(kind, count)
+        report = empirical_verify(f, y0, cert, family, grid)
         assert report.passed
         for check in report.checks:
-            assert check.threshold == report.ladder[0]
+            assert check.threshold == family.ladder[0]
             assert all(margin > 0.0 for margin in check.margins)
 
 

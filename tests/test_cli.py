@@ -585,6 +585,44 @@ def test_generate_corpus_bytes_are_pinned(capsys, seed, count, size, digest):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+_PINNED_INPUTS = {
+    "p1": {"integrand": "z^2-y^2", "interval": {"a": 0, "b": 4}},
+    "p2": {"integrand": "z^2-y^2", "interval": {"a": 0, "b": 0.5}},
+    "p3": {"integrand": "(1+x^2)*z^2+x*y*z-y^2", "interval": {"a": 0, "b": 0.6}},
+    "g1": {"P": "x*y+y^2", "qfun": "x*y", "pfun": "1+x^2", "rho": "y*z",
+           "y0": "x*(1-x)", "a": 0, "b": 0.5},
+}
+
+
+# every input uses only + - * / and integer powers, so these bytes hold on
+# any IEEE-754 host; verify and the fitted spec call sin, cos or exp
+@pytest.mark.parametrize("argv, code, size, digest", [
+    (["certify", "p1"], EXIT_INCONCLUSIVE, 467,
+     "4502ff81aaed8914dea5978c82ded93181b0430ebb8b6541dca84befbb197264"),
+    (["compare", "p1"], EXIT_OK, 324,
+     "a602eca2d1917cf47ef27fe177265e532ec716083af1d732b62da4d76e144b56"),
+    (["certify", "p2"], EXIT_OK, 464,
+     "d4afddbcc131321ecf65efe62e6a656c4d056c857e96dfa973d797cdba6d3e06"),
+    (["certify", "p3"], EXIT_OK, 511,
+     "db01243b204122d39361319a30b57285a3dcfd9b615b5707ceef4376308b7463"),
+    (["certify", "p3", "--grid-n", "16384"], EXIT_OK, 515,
+     "4a6b903e2f84f27313a686e8fd6d4429af243801f382d6fb507173907cd410b7"),
+    (["compare", "p3"], EXIT_OK, 315,
+     "4723c02ddfc9e01c71009afc2594792df4a6fed42457e34d3a3ca60379d31d1d"),
+    (["generate", "g1"], EXIT_OK, 840,
+     "cf1fc57d8baf5dfa6654b90647fc280140dfc6619f1e42863d1b0c155dd98675"),
+])
+def test_cli_stdout_is_pinned(tmp_path, capsys, argv, code, size, digest):
+    # a change to any certify, compare or generate report byte shows here
+    name = argv[1]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_PINNED_INPUTS[name]), encoding="utf-8")
+    got, out, err = _run(capsys, [argv[0], str(path), *argv[2:]])
+    assert (got, err) == (code, "")
+    data = out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_generate_requires_exactly_one_source(tmp_path, capsys):
     code, _, err = _run(capsys, ["generate"])
     assert code == EXIT_ERROR and err != ""

@@ -25,7 +25,7 @@ from varcert import (
     unparse,
 )
 from varcert import generator
-from varcert.certify import MINIMUM_KINDS, VerdictKind
+from varcert.certify import MINIMUM_KINDS, Certificate, Verdict, VerdictKind
 from varcert.expr import ZERO, X, Expr, _postorder, const, free_vars
 from varcert.variational import certify_samples
 
@@ -468,6 +468,13 @@ def test_corpus_redraws_near_threshold_instances(monkeypatch):
         verdict = certify(f, y0, grid).verdict
         if verdict.kind is VerdictKind.MINIMUM_UNDER_LENGTH:
             assert verdict.length_bound - grid.length > grid.length
+
+
+def test_corpus_raises_when_no_draw_passes(monkeypatch):
+    silent = Certificate(Verdict(VerdictKind.INCONCLUSIVE, 0.0), 1.0, -1.0, None)
+    monkeypatch.setattr(generator, "certify", lambda f, y0, grid: silent)
+    with pytest.raises(GeneratorError, match="^no acceptable draw for corpus index 0$"):
+        sample_corpus(0, 1, 0.0, 0.6)
 
 
 def test_corpus_prefix_property():

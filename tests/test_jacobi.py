@@ -119,6 +119,10 @@ def test_node_scan_exact_zeros(U, expected_node):
     assert first_conjugate_point(sol) == expected == _first_conjugate_point_loop(sol)
 
 
+def test_bisect_returns_an_exact_zero_at_a_midpoint():
+    assert _bisect(lambda x: x - 0.5, 0.0, 1.0) == 0.5
+
+
 def _accessory_loop(f, y0, grid):
     # the per-step RK4 loop the prefix-product march replaced, kept as its oracle
     p_nodes, q_nodes = coefficient_samples(f, y0, grid.nodes)

@@ -2,6 +2,7 @@
 and third-party imports match the declared dependencies."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -19,6 +20,7 @@ PACKAGE = ROOT / "src" / "varcert"
 
 REMOVED = (
     "AntiderivativeTable",
+    "CriteriaComparison",
     "LegendreProfile",
     "QuadraticDecomposition",
     "accessory_value",
@@ -71,6 +73,7 @@ DELETED = (
     "generator._TABLE_N",
     "generator._fit_from_table",
     "generator._is_zero",
+    "jacobi.CriteriaComparison",
     "variational.Extremal.boundary_values",
     "variational.Extremal.grid",
     "variational.Extremal.sample",
@@ -153,6 +156,34 @@ def test_every_export_has_a_caller_in_the_package():
         called |= {node.id for node in ast.walk(tree)
                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(set(varcert.__all__) - called) == sorted(CALLED_BY_ACCEPTANCE_ONLY)
+
+
+def test_result_records_hold_only_what_their_pass_computed():
+    # a caller that holds the grid, the family or the certificate reports
+    # those itself; a copy of them on a record is a second home for one fact
+    shapes = {
+        varcert.Certificate: ["verdict", "p_min", "q_min", "quad_coefficient"],
+        varcert.EmpiricalReport: ["abs_tol", "base_value", "checks", "passed"],
+        varcert.AccessorySolution: ["grid", "U", "V", "p_of_x", "q_of_x", "conjugate_point",
+                                    "p_min", "q_min", "length_new", "length_jacobi", "ratio"],
+    }
+    for record, names in shapes.items():
+        assert [field.name for field in dataclasses.fields(record)] == names, record.__name__
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: varcert.Integrand("z^2"), TypeError, "integrand must wrap an Expr"),
+    (lambda: varcert.Extremal("x", 0, 1), TypeError, "candidate path must be an Expr"),
+    (lambda: varcert.GeneratorSpec(P="x*y"), TypeError, "P must be an Expr"),
+    (lambda: varcert.GeneratorSpec(y0="x"), TypeError, "y0 must be an Extremal"),
+    (lambda: varcert.parse(3), TypeError, "expression text must be a string"),
+    (lambda: varcert.diff(varcert.parse("x"), "w"), ValueError, "unknown variable 'w'"),
+    (lambda: delattr(varcert.parse("x"), "op"), AttributeError, "Expr nodes are immutable"),
+], ids=["Integrand", "Extremal", "GeneratorSpec.P", "GeneratorSpec.y0", "parse", "diff",
+        "Expr.__delattr__"])
+def test_library_input_checks(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def _own_nodes(scope: ast.AST):
