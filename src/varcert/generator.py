@@ -22,13 +22,14 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .calculus import Grid
-from .certify import MINIMUM_KINDS, VerdictKind, certify
+from .certify import MINIMUM_KINDS, VerdictKind, certify, length_bound
 from .expr import (
     ONE,
     X,
     Y,
     ZERO,
     _ZEROS,
+    EvalDomainError,
     Expr,
     Program,
     _postorder,
@@ -391,6 +392,11 @@ _SCREEN_N = 256
 _MAX_ATTEMPTS = 64
 # reject near-threshold instances so grid refinement cannot flip the verdict
 _LENGTH_SAFETY = 1e-7
+# the early screen rejects a draw only when the interval is longer than
+# (1 + _EARLY_MARGIN) times its length bound; its p and q agree with the
+# full screen's to rounding, far inside this margin, so every draw it
+# rejects the full screen rejects too
+_EARLY_MARGIN = 1e-3
 
 
 def _random_polynomial(rng: np.random.Generator, monomials: tuple) -> Expr:
@@ -415,6 +421,14 @@ def sample_corpus(seed: int, count: int, a: float, b: float) -> list:
     Ingredients are drawn from documented finite families; candidates whose
     certificate is not a minimum on [a, b] (or sits too close to the length
     threshold) are rejected and redrawn, so every returned instance certifies.
+
+    Each draw first meets an early screen that builds nothing: it reads p and
+    q off the construction (``_construction_p_and_q``) and rejects the draw
+    when b - a exceeds (1 + ``_EARLY_MARGIN``) times the length bound. Every
+    other draw, including one whose samples fail or are not both a positive
+    p and a negative q, is built and certified as before. An early reject
+    counts as an attempt, and ``build`` draws nothing from the rng, so the
+    returned triples are those the full screen alone selects.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -424,6 +438,8 @@ def sample_corpus(seed: int, count: int, a: float, b: float) -> list:
         rng = np.random.default_rng((seed, index))
         for _ in range(_MAX_ATTEMPTS):
             candidate = _draw(rng, a, b)
+            if _fails_length_early(candidate, screen_grid):
+                continue
             integrand, _ = build(candidate)
             extremal = candidate.y0 if candidate.y0 is not None else Extremal.zero(a, b)
             cert = certify(integrand, extremal, screen_grid)
@@ -438,6 +454,31 @@ def sample_corpus(seed: int, count: int, a: float, b: float) -> list:
         else:
             raise GeneratorError(f"no acceptable draw for corpus index {index}")
     return out
+
+
+def _construction_p_and_q(spec: GeneratorSpec, xs: np.ndarray) -> tuple:
+    """p and q along the designated path at xs, without building f.
+
+    By construction p = pfun and q = P_yy(x, 0) - qfun_xy(x, 0) there, for
+    the zero-path template and for its recentring alike. Raises
+    EvalDomainError when a sample fails or is not finite.
+    """
+    q = Expr("sub", (diff(diff(spec.P, "y"), "y"), diff(diff(spec.qfun, "y"), "x")))
+    return Program((spec.pfun, q))({"x": xs, "y": 0.0})
+
+
+def _fails_length_early(spec: GeneratorSpec, grid: Grid) -> bool:
+    """True when the construction's p and q fail the length test on the grid
+    by more than ``_EARLY_MARGIN``; False whenever the full screen must decide."""
+    try:
+        p, q = _construction_p_and_q(spec, grid.nodes)
+    except EvalDomainError:
+        return False
+    p_min = float(p.min())
+    q_min = float(q.min())
+    if not (p_min > 0.0 and q_min < 0.0):
+        return False
+    return grid.length > (1.0 + _EARLY_MARGIN) * length_bound(p_min, q_min)
 
 
 def _draw(rng: np.random.Generator, a: float, b: float) -> GeneratorSpec:

@@ -15,7 +15,7 @@ ceil(log2 n) levels of elementwise 2x2 products, carried as M - I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,10 +74,6 @@ class AccessorySolution:
                             ("length_jacobi", length_jacobi), ("ratio", ratio)):
             object.__setattr__(self, name, value)
 
-    @property
-    def Up(self) -> np.ndarray:
-        return self.V / self.p_of_x
-
 
 def solve_accessory(f: Integrand, y0: Extremal, grid: Grid) -> AccessorySolution:
     """March the (U, V) system across the grid; p and q are sampled once.
@@ -97,8 +93,8 @@ def solve_accessory(f: Integrand, y0: Extremal, grid: Grid) -> AccessorySolution
         U, V = _march(grid.h, p_nodes, q_nodes, p_mids, q_mids)
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise AccessoryIntegrationError("accessory integration produced non-finite values")
-    solution = AccessorySolution(grid, U, V, p_nodes, q_nodes, None)
-    return replace(solution, conjugate_point=first_conjugate_point(solution))
+    conjugate = first_conjugate_point(grid, U, V / p_nodes)
+    return AccessorySolution(grid, U, V, p_nodes, q_nodes, conjugate)
 
 
 def _march(h: float, p_nodes: np.ndarray, q_nodes: np.ndarray,
@@ -140,20 +136,18 @@ def _march(h: float, p_nodes: np.ndarray, q_nodes: np.ndarray,
     return np.concatenate(([0.0], b * p_a)), np.concatenate(([p_a], p_a + d * p_a))
 
 
-def first_conjugate_point(sol: AccessorySolution) -> Optional[float]:
-    """Smallest zero of U in (a, b], or None.
+def first_conjugate_point(grid: Grid, U: np.ndarray, Up: np.ndarray) -> Optional[float]:
+    """Smallest zero of U in (a, b], or None, from U and U' at the grid nodes.
 
     Node scan plus bisection on the cubic Hermite interpolant between nodes.
     U(a) = 0 by the initial condition, so the scan starts after the first
     step; a sign change inside the first cell is still caught because
     U'(a) = 1 forces U > 0 immediately to the right of a.
     """
-    xs = sol.grid.nodes
-    U = sol.U
-    Up = sol.Up
+    xs = grid.nodes
     if U[1] < 0.0:
         cell = _hermite(xs[0], xs[1], U[0], Up[0], U[1], Up[1])
-        lo = xs[0] + 1e-3 * sol.grid.h
+        lo = xs[0] + 1e-3 * grid.h
         if cell(lo) <= 0.0:
             return float(lo)
         return float(_bisect(cell, lo, xs[1]))

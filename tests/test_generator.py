@@ -477,6 +477,65 @@ def test_corpus_raises_when_no_draw_passes(monkeypatch):
         sample_corpus(0, 1, 0.0, 0.6)
 
 
+@pytest.fixture(scope="module")
+def drawn():
+    """300 specs as sample_corpus draws them, 100 on each of three intervals,
+    with the integrand each one builds and its designated path."""
+    out = []
+    for k, b in enumerate((0.6, 1.0, 2.0)):
+        for i in range(100):
+            spec = generator._draw(np.random.default_rng((k, i)), 0.0, b)
+            y0 = spec.y0 if spec.y0 is not None else Extremal.zero(0.0, b)
+            out.append((spec, build(spec)[0], y0))
+    return out
+
+
+def test_early_screen_reads_p_and_q_off_the_construction(drawn):
+    for spec, f, y0 in drawn:
+        xs = Grid(spec.a, spec.b, generator._SCREEN_N).nodes
+        p, q = generator._construction_p_and_q(spec, xs)
+        _, p_built, q_built = certify_samples(f, y0, xs)
+        tol = 1e-12 * (1.0 + np.max(np.abs(q_built)))
+        assert np.max(np.abs(p - p_built)) <= tol
+        assert np.max(np.abs(q - q_built)) <= tol
+
+
+def _early_rejects_the_full_screen_accepts(drawn):
+    # (early rejects, those among them that the full screen accepts)
+    rejected = accepted = 0
+    for spec, f, y0 in drawn:
+        grid = Grid(spec.a, spec.b, generator._SCREEN_N)
+        if not generator._fails_length_early(spec, grid):
+            continue
+        rejected += 1
+        verdict = certify(f, y0, grid).verdict
+        if verdict.kind is VerdictKind.MINIMUM_UNCONDITIONAL or (
+                verdict.kind is VerdictKind.MINIMUM_UNDER_LENGTH
+                and verdict.length_bound - grid.length > generator._LENGTH_SAFETY * grid.length):
+            accepted += 1
+    return rejected, accepted
+
+
+def test_every_early_reject_is_a_full_reject(drawn, monkeypatch):
+    rejected, accepted = _early_rejects_the_full_screen_accepts(drawn)
+    assert rejected > 50 and accepted == 0
+    # the check can fail: a screen that rejects at half the length bound
+    # throws away draws the full screen keeps
+    monkeypatch.setattr(generator, "_EARLY_MARGIN", -0.5)
+    assert _early_rejects_the_full_screen_accepts(drawn)[1] > 0
+
+
+def test_early_screen_skips_the_build_of_rejected_draws(monkeypatch):
+    calls = []
+    built = generator.build
+    monkeypatch.setattr(generator, "build", lambda spec: calls.append(spec) or built(spec))
+    for seed, count in ((0, 100), (7919, 30)):
+        calls.clear()
+        sample_corpus(seed, count, 0.0, 0.6)
+        # the full screen alone builds 151 and 48
+        assert len(calls) == count
+
+
 def test_corpus_prefix_property():
     # instance i depends only on (seed, i), so a shorter corpus is a prefix
     short = sample_corpus(0, 10, 0.0, 0.6)

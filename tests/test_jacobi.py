@@ -35,7 +35,7 @@ def test_oscillator_solution_is_sine():
     # p = 2, q = -2: U'' = -U with U(0)=0, U'(0)=1, so U = sin
     sol = _solve("z^2-y^2", 0.0, 2.0)
     assert np.max(np.abs(sol.U - np.sin(sol.grid.nodes))) < 1e-9
-    assert np.max(np.abs(sol.Up - np.cos(sol.grid.nodes))) < 1e-9
+    assert np.max(np.abs(sol.V / sol.p_of_x - np.cos(sol.grid.nodes))) < 1e-9
 
 
 def test_coercive_solution_is_sinh():
@@ -49,7 +49,7 @@ def test_initial_conditions():
     sol = _solve("z^2-y^2", 0.0, 1.0)
     assert sol.U[0] == 0.0
     assert sol.V[0] == pytest.approx(2.0)  # V = p U' with p = 2, U'(a) = 1
-    assert sol.Up[0] == pytest.approx(1.0)
+    assert (sol.V / sol.p_of_x)[0] == pytest.approx(1.0)
 
 
 def test_conjugate_point_oscillator():
@@ -67,15 +67,15 @@ def test_no_conjugate_point_before_first_zero():
     # sin stays positive on (0, 3]
     sol = _solve("z^2-y^2", 0.0, 3.0)
     assert sol.conjugate_point is None
-    assert first_conjugate_point(sol) is None
+    assert first_conjugate_point(sol.grid, sol.U, sol.V / sol.p_of_x) is None
 
 
-def _first_conjugate_point_loop(sol):
+def _first_conjugate_point_loop(grid, U, Up):
     # the per-node scan the vectorised one replaced, kept as its oracle
-    xs, U, Up, n = sol.grid.nodes, sol.U, sol.Up, sol.grid.n
+    xs, n = grid.nodes, grid.n
     if U[1] < 0.0:
         cell = _hermite(xs[0], xs[1], U[0], Up[0], U[1], Up[1])
-        lo = xs[0] + 1e-3 * sol.grid.h
+        lo = xs[0] + 1e-3 * grid.h
         if cell(lo) <= 0.0:
             return float(lo)
         return float(_bisect(cell, lo, xs[1]))
@@ -100,9 +100,8 @@ def test_node_scan_matches_the_loop(seed):
         U[1:] = np.abs(U[1:])  # zeros only, or no root at all
     elif seed % 4 == 1:
         U[1] = -abs(U[1]) or -1.0  # sign change inside the first cell
-    V = rng.uniform(-2.0, 2.0, n + 1)
-    sol = AccessorySolution(grid, U, V, np.ones(n + 1), np.ones(n + 1), None)
-    assert first_conjugate_point(sol) == _first_conjugate_point_loop(sol)
+    Up = rng.uniform(-2.0, 2.0, n + 1)
+    assert first_conjugate_point(grid, U, Up) == _first_conjugate_point_loop(grid, U, Up)
 
 
 @pytest.mark.parametrize("U, expected_node", [
@@ -114,9 +113,10 @@ def test_node_scan_matches_the_loop(seed):
 def test_node_scan_exact_zeros(U, expected_node):
     grid = Grid(0.0, 1.0, 4)
     U = np.array(U)
-    sol = AccessorySolution(grid, U, np.ones(5), np.ones(5), np.ones(5), None)
+    Up = np.ones(5)
     expected = None if expected_node is None else float(grid.nodes[expected_node])
-    assert first_conjugate_point(sol) == expected == _first_conjugate_point_loop(sol)
+    assert (first_conjugate_point(grid, U, Up) == expected
+            == _first_conjugate_point_loop(grid, U, Up))
 
 
 def test_bisect_returns_an_exact_zero_at_a_midpoint():
@@ -175,7 +175,7 @@ def test_march_matches_the_loop(case, n):
     assert np.max(np.abs(sol.V - ref.V)) <= 1e-11 * np.max(np.abs(ref.V))
     assert sol.U[0] == ref.U[0] and sol.V[0] == ref.V[0]
     assert np.array_equal(sol.p_of_x, ref.p_of_x) and np.array_equal(sol.q_of_x, ref.q_of_x)
-    expected = first_conjugate_point(ref)
+    expected = first_conjugate_point(ref.grid, ref.U, ref.V / ref.p_of_x)
     if expected is None:
         assert sol.conjugate_point is None
     else:
