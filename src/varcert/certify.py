@@ -202,6 +202,8 @@ class PerturbationFamily:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         ladder = tuple(float(t) for t in self.ladder)
         if not all(map(math.isfinite, ladder)):
             raise ValueError("ladder entries must be finite")

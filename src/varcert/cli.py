@@ -307,6 +307,11 @@ def _spec_from_json(raw: dict) -> GeneratorSpec:
     for name in ("a", "b", "C"):
         if name in raw and not _is_number(raw[name]):
             raise ValueError(f"invalid generator spec: {name} must be a number")
+    texts = {name: raw.get(name, default)
+             for name, default in (("P", "0"), ("qfun", "0"), ("pfun", "1"), ("rho", "0"))}
+    for name, text in texts.items():
+        if not isinstance(text, str):
+            raise ValueError(f"invalid generator spec: {name} must be an expression string")
     a = float(raw.get("a", 0.0))
     b = float(raw.get("b", 1.0))
     y0_text = raw.get("y0")
@@ -316,16 +321,8 @@ def _spec_from_json(raw: dict) -> GeneratorSpec:
             raise ValueError("y0 must be an expression string or null")
         y0 = Extremal.from_text(y0_text, a, b)
     try:
-        return GeneratorSpec(
-            P=parse(str(raw.get("P", "0"))),
-            qfun=parse(str(raw.get("qfun", "0"))),
-            pfun=parse(str(raw.get("pfun", "1"))),
-            rho=parse(str(raw.get("rho", "0"))),
-            C=float(raw.get("C", 0.0)),
-            a=a,
-            b=b,
-            y0=y0,
-        )
+        return GeneratorSpec(**{name: parse(text) for name, text in texts.items()},
+                             C=float(raw.get("C", 0.0)), a=a, b=b, y0=y0)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid generator spec: {exc}")
 

@@ -4,11 +4,11 @@ Immutable interned nodes, a parser on an explicit stack, exact symbolic
 differentiation, simplification by constant folding and 0/1 identities, and
 numeric evaluation on scalars or numpy arrays by programs compiled from one
 or more expressions. One rule constructor, ``_make``, builds every node of a
-derivative or a simplified form already simplified, so neither pass interns
-a node it throws away; both results are memoised on the nodes. Every pass
-over a tree (differentiation, simplification, substitution, rendering,
-copying, compiling) walks it by ``_postorder``, on an explicit stack, and
-the parser keeps a stack of its own, so depth is bounded by memory.
+derivative, a substitution or a simplified form already simplified, so no
+pass interns a node it throws away. Every pass over a tree (differentiation,
+simplification, substitution, rendering, copying, compiling) walks it by
+``_postorder``, on an explicit stack, and the parser keeps a stack of its
+own, so depth is bounded by memory.
 """
 
 from __future__ import annotations
@@ -629,13 +629,13 @@ def _make(op: str, args: tuple = (), value=None) -> Expr:
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace variables by expressions; no simplification is applied."""
+    """Replace variables by expressions; the result is already simplified."""
     out = {}
     for node in _postorder(e):
         if node.op == "var":
-            out[node] = mapping.get(node.value, node)
+            out[node] = simplify(mapping.get(node.value, node))
         else:
-            out[node] = Expr(node.op, tuple(out[c] for c in node.args), node.value)
+            out[node] = _make(node.op, tuple(out[c] for c in node.args), node.value)
     return out[e]
 
 

@@ -352,15 +352,14 @@ def build(spec: GeneratorSpec) -> tuple:
     recentres it by substituting y -> y - y0(x), z -> z - y0'(x).
     """
     _check_positive(spec.pfun, spec.a, spec.b)
-    rate = simplify(substitute(diff(spec.P, "y"), {"y": ZERO}))
+    rate = substitute(diff(spec.P, "y"), {"y": ZERO})
     A, info = _materialize(rate, spec.a, spec.b)
-    q_bracket = simplify(Expr("sub", (spec.qfun, substitute(spec.qfun, {"y": ZERO}))))
-    rho_bracket = simplify(Expr("sub", (
-        spec.rho,
-        substitute(spec.rho, {"y": ZERO, "z": ZERO}),
-    )))
-    linear = simplify(Expr("add", (Expr("add", (const(spec.C), A)), q_bracket)))
-    quadratic = simplify(Expr("add", (spec.pfun, rho_bracket)))
+    # the template is simplified once, at its root: simplify works bottom-up,
+    # so its parts need no simplify of their own
+    q_bracket = Expr("sub", (spec.qfun, substitute(spec.qfun, {"y": ZERO})))
+    rho_bracket = Expr("sub", (spec.rho, substitute(spec.rho, {"y": ZERO, "z": ZERO})))
+    linear = Expr("add", (Expr("add", (const(spec.C), A)), q_bracket))
+    quadratic = Expr("add", (spec.pfun, rho_bracket))
     z = var("z")
     f = simplify(Expr("add", (
         Expr("add", (spec.P, Expr("mul", (linear, z)))),
@@ -374,7 +373,7 @@ def build(spec: GeneratorSpec) -> tuple:
             "y": Expr("sub", (Y, spec.y0.y0)),
             "z": Expr("sub", (z, spec.y0.y0p)),
         }
-        f = simplify(substitute(f, mapping))
+        f = substitute(f, mapping)
     return Integrand(f), info
 
 
@@ -383,9 +382,9 @@ def build(spec: GeneratorSpec) -> tuple:
 
 _MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 _QUADRATIC_COUNT = 6  # leading monomials of total degree <= 2
-_QFUN_CHOICES = ("0", "x*y", "sin(x)*y")
-_PFUN_CHOICES = ("1", "2+sin(x)", "1+x^2")
-_RHO_CHOICES = ("0", "y*z", "0.1*sin(y)*z")
+_QFUN_CHOICES = tuple(map(parse, ("0", "x*y", "sin(x)*y")))
+_PFUN_CHOICES = tuple(map(parse, ("1", "2+sin(x)", "1+x^2")))
+_RHO_CHOICES = tuple(map(parse, ("0", "y*z", "0.1*sin(y)*z")))
 _C_CHOICES = (-1.0, 0.0, 1.0)
 
 _SCREEN_N = 256
@@ -411,10 +410,6 @@ def _random_polynomial(rng: np.random.Generator, monomials: tuple) -> Expr:
     return total
 
 
-def _y0_choices(a: float, b: float) -> tuple:
-    return (None, "sin(x)", f"x*({b!r}-x)")
-
-
 def sample_corpus(seed: int, count: int, a: float, b: float) -> list:
     """Deterministic list of (spec, integrand, extremal) triples.
 
@@ -432,16 +427,20 @@ def sample_corpus(seed: int, count: int, a: float, b: float) -> list:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     screen_grid = Grid(a, b, _SCREEN_N)
+    paths = (None, Extremal.from_text("sin(x)", a, b), Extremal.from_text(f"x*({b!r}-x)", a, b))
+    zero = Extremal.zero(a, b)
     out = []
     for index in range(count):
         rng = np.random.default_rng((seed, index))
         for _ in range(_MAX_ATTEMPTS):
-            candidate = _draw(rng, a, b)
+            candidate = _draw(rng, a, b, paths)
             if _fails_length_early(candidate, screen_grid):
                 continue
             integrand, _ = build(candidate)
-            extremal = candidate.y0 if candidate.y0 is not None else Extremal.zero(a, b)
+            extremal = candidate.y0 if candidate.y0 is not None else zero
             cert = certify(integrand, extremal, screen_grid)
             if cert.verdict.kind not in MINIMUM_KINDS:
                 continue
@@ -481,15 +480,14 @@ def _fails_length_early(spec: GeneratorSpec, grid: Grid) -> bool:
     return grid.length > (1.0 + _EARLY_MARGIN) * length_bound(p_min, q_min)
 
 
-def _draw(rng: np.random.Generator, a: float, b: float) -> GeneratorSpec:
+def _draw(rng: np.random.Generator, a: float, b: float, paths: tuple) -> GeneratorSpec:
     # half the draws stay quadratic so the corpus exercises the regime where
     # the functional equals its second-order model exactly
     monomials = _MONOMIALS if rng.integers(0, 2) else _MONOMIALS[:_QUADRATIC_COUNT]
     P = _random_polynomial(rng, monomials)
-    qfun = parse(_QFUN_CHOICES[rng.integers(0, len(_QFUN_CHOICES))])
-    pfun = parse(_PFUN_CHOICES[rng.integers(0, len(_PFUN_CHOICES))])
-    rho = parse(_RHO_CHOICES[rng.integers(0, len(_RHO_CHOICES))])
+    qfun = _QFUN_CHOICES[rng.integers(0, len(_QFUN_CHOICES))]
+    pfun = _PFUN_CHOICES[rng.integers(0, len(_PFUN_CHOICES))]
+    rho = _RHO_CHOICES[rng.integers(0, len(_RHO_CHOICES))]
     C = _C_CHOICES[rng.integers(0, len(_C_CHOICES))]
-    y0_text = _y0_choices(a, b)[rng.integers(0, 3)]
-    y0 = None if y0_text is None else Extremal.from_text(y0_text, a, b)
+    y0 = paths[rng.integers(0, len(paths))]
     return GeneratorSpec(P=P, qfun=qfun, pfun=pfun, rho=rho, C=C, a=a, b=b, y0=y0)

@@ -23,7 +23,6 @@ from .expr import (
     diff,
     free_vars,
     parse,
-    simplify,
     substitute,
     var,
 )
@@ -221,4 +220,4 @@ def shift(f: Integrand, y0: Extremal) -> Integrand:
         "y": Expr("add", (var("y"), y0.y0)),
         "z": Expr("add", (var("z"), y0.y0p)),
     }
-    return Integrand(simplify(substitute(f.f, mapping)))
+    return Integrand(substitute(f.f, mapping))

@@ -331,6 +331,8 @@ def test_family_validation():
         PerturbationFamily("triangle")
     with pytest.raises(ValueError):
         PerturbationFamily(SINE_BASIS, count=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+        PerturbationFamily(RANDOM_SPLINE, seed=-1)
     with pytest.raises(ValueError):
         PerturbationFamily(SINE_BASIS, ladder=())
     with pytest.raises(ValueError):

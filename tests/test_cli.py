@@ -501,6 +501,14 @@ def test_malformed_generator_specs_are_one_error_line(tmp_path, capsys, text, me
     assert _run(capsys, ["generate", str(path)]) == (EXIT_ERROR, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("name, value", [("P", None), ("qfun", [1]), ("pfun", 2), ("rho", True)])
+def test_generator_spec_expressions_must_be_strings(tmp_path, capsys, name, value):
+    path = tmp_path / "genspec.json"
+    path.write_text(json.dumps({name: value}), encoding="utf-8")
+    message = f"error: invalid generator spec: {name} must be an expression string\n"
+    assert _run(capsys, ["generate", str(path)]) == (EXIT_ERROR, "", message)
+
+
 def test_generate_table_provenance(tmp_path, capsys):
     path = _genspec(tmp_path, P="exp(x^2)*y", a=0.0, b=0.6)
     code, out, _ = _run(capsys, ["generate", path])
@@ -570,6 +578,12 @@ def test_generate_corpus_deterministic(capsys):
     _, first, _ = _run(capsys, ["generate", "--corpus", "3", "4"])
     _, second, _ = _run(capsys, ["generate", "--corpus", "3", "4"])
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [["generate", "--corpus", "-1", "1"], ["verify", None, "--seed", "-1"]])
+def test_negative_seed_is_named(tmp_path, capsys, argv):
+    argv = [arg if arg is not None else _problem(tmp_path) for arg in argv]
+    assert _run(capsys, argv) == (EXIT_ERROR, "", "error: seed must be >= 0\n")
 
 
 @pytest.mark.parametrize("seed, count, size, digest", [

@@ -623,7 +623,7 @@ def test_passes_match_the_recursive_references(seed, depth, rules):
         derivatives.append(d)
     mapping = {"y": Expr("add", (Y, parse("sin(x)"))), "z": Expr("sub", (Z, const(0.0)))}
     for d in derivatives:
-        assert substitute(d, mapping) is _reference_substitute(d, mapping)
+        assert substitute(d, mapping) is simplify(_reference_substitute(d, mapping))
         assert unparse(d) == _reference_unparse(d)
         assert Integrand(d).x_parts == _reference_x_parts(d)
 
@@ -1298,6 +1298,22 @@ def test_substitute_shifts_variables():
     assert eval_at(shifted, t, u, w) == pytest.approx(want)
 
 
-def test_substitute_does_not_simplify():
-    out = substitute(parse("y+0"), {"y": X})
-    assert out.op == "add"
+def test_substitute_simplifies():
+    assert substitute(parse("y+0"), {"y": X}) is X
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.booleans())
+def test_substitute_is_simplify_of_the_plain_substitution(seed, depth, rules):
+    # mixed mappings: each variable is kept, mapped to a constant, or mapped
+    # to an unsimplified random tree, which may itself hold mapped names
+    rng = np.random.default_rng(seed)
+    e = random_tree(rng, depth, rules)
+    mapping = {}
+    for name in VARIABLES:
+        roll = rng.integers(0, 3)
+        if roll == 1:
+            mapping[name] = const((0.0, 1.0, -2.5)[rng.integers(0, 3)])
+        elif roll == 2:
+            mapping[name] = random_tree(rng, 3, rules=True)
+    assert substitute(e, mapping) is simplify(_reference_substitute(e, mapping))

@@ -275,7 +275,7 @@ def test_antiderivative_matches_the_recursive_reference(rate_text):
 
 
 def test_antiderivative_matches_the_reference_on_corpus_and_random_rates(corpus100):
-    rates = [simplify(substitute(diff(spec.P, "y"), {"y": ZERO})) for spec, _, _ in corpus100]
+    rates = [substitute(diff(spec.P, "y"), {"y": ZERO}) for spec, _, _ in corpus100]
     rates += [substitute(random_tree(np.random.default_rng((11, seed)), 5, rules=True),
                          {"y": X, "z": X}) for seed in range(300)]
     closed = 0
@@ -346,7 +346,7 @@ def test_linear_coefficient_structure():
     # P = sin(x) y gives A = 1 - cos(x); the slope coefficient at y = 0 is
     # C + A(x) and vanishes with C = 0 at x = 0
     f, _ = build(GeneratorSpec(P=parse("sin(x)*y")))
-    linear = simplify(substitute(diff(f.f, "z"), {"y": ZERO, "z": ZERO}))
+    linear = substitute(diff(f.f, "z"), {"y": ZERO, "z": ZERO})
     for t in (0.0, 0.5, 1.0):
         assert evaluate(linear, {"x": t}) == pytest.approx(1.0 - math.cos(t), abs=1e-12)
 
@@ -483,8 +483,10 @@ def drawn():
     with the integrand each one builds and its designated path."""
     out = []
     for k, b in enumerate((0.6, 1.0, 2.0)):
+        paths = (None, Extremal.from_text("sin(x)", 0.0, b),
+                 Extremal.from_text(f"x*({b!r}-x)", 0.0, b))
         for i in range(100):
-            spec = generator._draw(np.random.default_rng((k, i)), 0.0, b)
+            spec = generator._draw(np.random.default_rng((k, i)), 0.0, b, paths)
             y0 = spec.y0 if spec.y0 is not None else Extremal.zero(0.0, b)
             out.append((spec, build(spec)[0], y0))
     return out
@@ -523,6 +525,32 @@ def test_every_early_reject_is_a_full_reject(drawn, monkeypatch):
     # throws away draws the full screen keeps
     monkeypatch.setattr(generator, "_EARLY_MARGIN", -0.5)
     assert _early_rejects_the_full_screen_accepts(drawn)[1] > 0
+
+
+def test_early_screen_leaves_a_failing_sample_to_the_full_screen():
+    grid = Grid(0.0, 1.0, 256)
+    # ln(x) fails at x = 0, so the early screen cannot read p there
+    spec = GeneratorSpec(P=parse("-5*y^2"), pfun=parse("ln(x)"), a=0.0, b=1.0)
+    assert generator._fails_length_early(spec, grid) is False
+    spec = GeneratorSpec(P=parse("-5*y^2"), pfun=parse("1+x"), a=0.0, b=1.0)
+    assert generator._fails_length_early(spec, grid) is True
+
+
+def test_corpus_draws_parse_nothing(monkeypatch):
+    parsed, paths = [], []
+    real_parse, real_from_text = generator.parse, Extremal.from_text
+    monkeypatch.setattr(generator, "parse", lambda text: parsed.append(text) or real_parse(text))
+    monkeypatch.setattr(Extremal, "from_text", classmethod(
+        lambda cls, text, a, b: paths.append(text) or real_from_text(text, a, b)))
+    sample_corpus(0, 100, 0.0, 0.6)
+    # the ingredients are parsed at import and the two designated paths
+    # once per call; parsing them per draw would read 453 and 103
+    assert (len(parsed), len(paths)) == (0, 2)
+
+
+def test_corpus_seed_must_be_nonnegative():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+        sample_corpus(-1, 1, 0.0, 0.6)
 
 
 def test_early_screen_skips_the_build_of_rejected_draws(monkeypatch):

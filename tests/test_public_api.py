@@ -73,6 +73,7 @@ DELETED = (
     "generator._TABLE_N",
     "generator._fit_from_table",
     "generator._is_zero",
+    "generator._y0_choices",
     "jacobi.CriteriaComparison",
     "variational.Extremal.boundary_values",
     "variational.Extremal.grid",
