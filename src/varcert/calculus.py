@@ -50,6 +50,15 @@ class Grid:
     def midpoints(self) -> np.ndarray:
         return self.nodes[:-1] + 0.5 * self.h
 
+    @cached_property
+    def simpson_weights(self) -> np.ndarray:
+        """Composite Simpson weights 1, 4, 2, ..., 4, 1 of the nodes; read-only."""
+        w = np.ones(self.n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w.flags.writeable = False
+        return w
+
 
 @dataclass(frozen=True, eq=False)
 class SampledPath:
@@ -75,13 +84,6 @@ class SampledPath:
         object.__setattr__(self, "yp", yp)
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 def integrate(values, grid: Grid) -> float:
     """Composite Simpson estimate of the integral of node samples over [a, b]."""
     v = np.asarray(values, dtype=float)
@@ -90,7 +92,7 @@ def integrate(values, grid: Grid) -> float:
     if not np.all(np.isfinite(v)):
         raise ValueError("node values must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(grid.h / 3.0 * np.dot(_simpson_weights(grid.n), v))
+        total = float(grid.h / 3.0 * np.dot(grid.simpson_weights, v))
     if not math.isfinite(total):
         raise ValueError("integral overflowed")
     return total

@@ -315,12 +315,10 @@ def _spec_from_json(raw: dict) -> GeneratorSpec:
     a = float(raw.get("a", 0.0))
     b = float(raw.get("b", 1.0))
     y0_text = raw.get("y0")
-    y0 = None
-    if y0_text is not None:
-        if not isinstance(y0_text, str):
-            raise ValueError("y0 must be an expression string or null")
-        y0 = Extremal.from_text(y0_text, a, b)
     try:
+        if y0_text is not None and not isinstance(y0_text, str):
+            raise TypeError("y0 must be an expression string or null")
+        y0 = None if y0_text is None else Extremal.from_text(y0_text, a, b)
         return GeneratorSpec(**{name: parse(text) for name, text in texts.items()},
                              C=float(raw.get("C", 0.0)), a=a, b=b, y0=y0)
     except (TypeError, ValueError) as exc:

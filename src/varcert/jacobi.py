@@ -7,9 +7,12 @@ length criterion and to measure how conservative it is.
 
 The system is linear, so each RK4 step is a 2x2 matrix M_i of p and q at
 x_i, the cell midpoint and x_{i+1}. All n step matrices are built at once
-and composed into the prefix products M_i ... M_0 by a Hillis-Steele scan
-(W. D. Hillis and G. L. Steele, "Data parallel algorithms", CACM 1986):
-ceil(log2 n) levels of elementwise 2x2 products, carried as M - I.
+and composed into the prefix products M_i ... M_0, carried as M - I, by a
+blocked scan in O(n) work (G. E. Blelloch, "Prefix sums and their
+applications", 1990): every block of BLOCK steps is composed in place, the
+block totals are scanned Hillis-Steele (W. D. Hillis and G. L. Steele,
+"Data parallel algorithms", CACM 1986), and each block then takes the
+product of the blocks before it in one elementwise pass.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .variational import (
 )
 
 X_TOL = 1e-9
+# steps per block of the prefix product; 16 measures the same
+BLOCK = 8
 
 
 class AccessoryIntegrationError(RuntimeError):
@@ -120,20 +125,48 @@ def _march(h: float, p_nodes: np.ndarray, q_nodes: np.ndarray,
     # every step to rounding, an error that grows like n eps
     a, c = increment(1.0, 0.0)
     b, d = increment(0.0, 1.0)
-    # after the level with stride k, entry i holds M_i ... M_max(0, i-2k+1);
-    # (I + X)(I + Y) = I + X + Y + XY with X the later block
-    k = 1
-    while k < len(a):
-        a[k:], b[k:], c[k:], d[k:] = (
-            a[k:] + a[:-k] + (a[k:] * a[:-k] + b[k:] * c[:-k]),
-            b[k:] + b[:-k] + (a[k:] * b[:-k] + b[k:] * d[:-k]),
-            c[k:] + c[:-k] + (c[k:] * a[:-k] + d[k:] * c[:-k]),
-            d[k:] + d[:-k] + (c[k:] * b[:-k] + d[k:] * d[:-k]),
-        )
-        k *= 2
+    _, b, _, d = _prefix_products((a, b, c, d))
     # the initial state (0, p(a)) picks the second column
     p_a = p_nodes[0]
     return np.concatenate(([0.0], b * p_a)), np.concatenate(([p_a], p_a + d * p_a))
+
+
+def _compose(x, y, out) -> None:
+    """Write (I + X)(I + Y) - I = X + Y + XY into out, for 2x2 matrices X, Y
+    given as their entries (a, b, c, d) along the first axis of an array; X
+    is the later factor. Each matrix row of the product, (a, b) or (c, d),
+    reads only the same row of X, so out may be x, but it must not overlap
+    y."""
+    ya, yb, yc, yd = y
+    for r in (0, 2):
+        xp, xq, yp, yq = x[r], x[r + 1], y[r], y[r + 1]
+        first = xp + yp + (xp * ya + xq * yc)
+        out[r + 1] = xq + yq + (xp * yb + xq * yd)
+        out[r] = first
+
+
+def _prefix_products(steps) -> np.ndarray:
+    """Entries of M_i ... M_0 - I for every i, from the entries (a, b, c, d)
+    of M_i - I, four arrays of length n >= 1; a (4, n) array."""
+    n = len(steps[0])
+    blocks = -(-n // BLOCK)
+    # zero pads are identity steps; e[:, j, k] is step j of block k, so each
+    # block position is one contiguous row
+    e = np.zeros((4, blocks * BLOCK))
+    e[:, :n] = steps
+    e = np.ascontiguousarray(e.reshape(4, blocks, BLOCK).transpose(0, 2, 1))
+    # within every block at once: position j becomes steps j ... 0 of its block
+    for j in range(1, BLOCK):
+        _compose(e[:, j], e[:, j - 1], e[:, j])
+    # after the level with stride k, total i holds blocks i ... max(0, i-2k+1)
+    totals = e[:, -1].copy()
+    k = 1
+    while k < blocks:
+        _compose(totals[:, k:], totals[:, :-k].copy(), totals[:, k:])
+        k *= 2
+    # block i >= 1 carries blocks i-1 ... 0, that is total i-1
+    _compose(e[:, :, 1:], totals[:, None, :-1], e[:, :, 1:])
+    return e.transpose(0, 2, 1).reshape(4, -1)[:, :n]
 
 
 def first_conjugate_point(grid: Grid, U: np.ndarray, Up: np.ndarray) -> Optional[float]:

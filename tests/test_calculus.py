@@ -91,6 +91,16 @@ def test_simpson_sine():
     assert integrate(np.sin(grid.nodes), grid) == pytest.approx(2.0, abs=1e-7)
 
 
+def test_simpson_weights_are_cached_and_read_only():
+    grid = Grid(0.0, 1.0, 6)
+    weights = grid.simpson_weights
+    assert weights is grid.simpson_weights
+    assert weights.tolist() == [1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 2.0
+
+
 def test_integrate_rejects_bad_shapes():
     grid = Grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):

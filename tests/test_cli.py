@@ -490,7 +490,13 @@ def test_generate_with_a_designated_path(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("[]", "generator spec must be a JSON object"),
     ('{"P": "z*y"}', "invalid generator spec: P may only use ['x', 'y']; found ['z']"),
-    ('{"y0": 5}', "y0 must be an expression string or null"),
+    pytest.param('{"y0": 5}', "invalid generator spec: y0 must be an expression string or null",
+                 id="y0-number"),
+    pytest.param('{"y0": "x", "a": 1, "b": 0}', "invalid generator spec: requires a < b",
+                 id="y0-reversed-interval"),
+    pytest.param('{"y0": "y"}',
+                 "invalid generator spec: candidate path must be a function of x alone",
+                 id="y0-not-of-x"),
     ('{"P": "x*y", "a": -1e308, "b": 1e308}', "grid length b - a overflows"),
     # JSON reads 1e400 as inf, and "inf*z" would not parse back
     ('{"C": 1e400, "P": "x*y"}', "invalid generator spec: C must be a finite number"),
@@ -625,6 +631,12 @@ _PINNED_INPUTS = {
      "4723c02ddfc9e01c71009afc2594792df4a6fed42457e34d3a3ca60379d31d1d"),
     (["generate", "g1"], EXIT_OK, 840,
      "cf1fc57d8baf5dfa6654b90647fc280140dfc6619f1e42863d1b0c155dd98675"),
+    # at n = 65536 the prefix product groups the most steps differently from
+    # a step-by-step march
+    (["compare", "p1", "--grid-n", "65536"], EXIT_OK, 326,
+     "9658e9f53d1b582124420a56729c677b3660ed7e154aee47b5a55e91d6e33a61"),
+    (["compare", "p3", "--grid-n", "65536"], EXIT_OK, 317,
+     "9ac9aadc3a77d627a7a842fb7f3f1ec0d308ac5f4d5b7024fb44941ad47f4825"),
 ])
 def test_cli_stdout_is_pinned(tmp_path, capsys, argv, code, size, digest):
     # a change to any certify, compare or generate report byte shows here

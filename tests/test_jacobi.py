@@ -17,7 +17,7 @@ from varcert import (
     solve_accessory,
 )
 from varcert import jacobi, variational
-from varcert.jacobi import X_TOL, _bisect, _hermite
+from varcert.jacobi import X_TOL, _bisect, _hermite, _prefix_products
 from varcert.variational import coefficient_samples
 
 
@@ -161,7 +161,9 @@ _MARCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 510, 512, 65536])
+# in blocks of 8 steps, 10, 18, 1030 and 4098 end in a partial block, and 18,
+# 1030 and 4098 have an odd number of blocks above one
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 18, 510, 512, 1030, 4098, 65536])
 @pytest.mark.parametrize("case", sorted(_MARCH_CASES))
 def test_march_matches_the_loop(case, n):
     f_text, y0_text, a, b = _MARCH_CASES[case]
@@ -180,6 +182,20 @@ def test_march_matches_the_loop(case, n):
         assert sol.conjugate_point is None
     else:
         assert abs(sol.conjugate_point - expected) <= X_TOL
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_prefix_products_match_sequential_composition(n):
+    steps = np.random.default_rng(n).uniform(-0.1, 0.1, (n, 2, 2))
+    product = np.eye(2)
+    expected = np.empty((n, 2, 2))
+    for i, step in enumerate(steps):
+        product = (np.eye(2) + step) @ product
+        expected[i] = product - np.eye(2)
+    got = _prefix_products(tuple(steps.reshape(n, 4).T))
+    assert got.shape == (4, n)
+    ref = expected.reshape(n, 4).T
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_overflow_raises_without_warnings():
