@@ -140,7 +140,7 @@ def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8) -> Cer
     """Full pipeline: residual, Legendre profile, verdict, quadratic coefficient.
 
     The residual, p and q come from one pass of ``certify_samples`` over the
-    grid nodes, which evaluates the path and f's partials once per chunk.
+    grid nodes, which runs f's partials composed along the path per chunk.
     """
     ensure_same_interval(y0, grid)
     residual, p, q = certify_samples(f, y0, grid.nodes)
@@ -361,7 +361,7 @@ def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
     ensure_same_interval(y0, grid)
     coefficient = cert.quad_coefficient
     xs = grid.nodes
-    base_y, base_yp, _ = y0.program({"x": xs})
+    base_y, base_yp, _ = Program((y0.y0, y0.y0p, y0.y0pp))({"x": xs})
     base = SampledPath(grid, base_y, base_yp)
     x_values = _x_part_values(f, xs)
     base_value = functional_value(f, base, x_values)

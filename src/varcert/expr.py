@@ -60,10 +60,19 @@ class EvalDomainError(ValueError):
 # one, so equality and hashing are by identity. The table holds nodes weakly
 # and keys them on their children's ids (a node keeps its children alive), so
 # the table itself keeps no node alive; constants are keyed on their bits, so
-# 0.0 and -0.0 stay distinct nodes.
-_NODES = weakref.WeakValueDictionary()
+# 0.0 and -0.0 stay distinct nodes. Each entry drops itself when its node dies,
+# as in a WeakValueDictionary, whose Python-level methods slowed interning.
+_NODES = {}
 _DOUBLE = struct.Struct("<d")
 _set = object.__setattr__
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+    def forget(self) -> None:  # called back when the node dies
+        if _NODES.get(self.key) is self:  # no new node has taken the key since
+            del _NODES[self.key]
 
 
 def _check_node(op, args, value) -> None:
@@ -106,7 +115,8 @@ class Expr:
                 key = (op, _DOUBLE.pack(value), *map(id, args))
             else:
                 key = (op, type(value), value, *map(id, args))
-            node = _NODES.get(key)
+            entry = _NODES.get(key)
+            node = entry and entry()
         except TypeError:  # children not iterable or payload unhashable
             _check_node(op, args, value)
             raise
@@ -119,7 +129,8 @@ class Expr:
             _set(node, "_diff", None)
             _set(node, "_simplified", None)
             _set(node, "_free", None)
-            _NODES[key] = node
+            _NODES[key] = entry = _Entry(node, _Entry.forget)
+            entry.key = key
         return node
 
     def __setattr__(self, name, value):

@@ -3,12 +3,14 @@
 Everything the certification pipeline needs from an integrand f(x, y, z),
 with z standing for the slope y', is derived symbolically here: the
 Euler-Lagrange residual, the pointwise coefficients p(x) = f_zz and
-q(x) = f_yy - d/dx f_yz along a candidate path, and the change of variables
-that recenters a problem on an arbitrary twice-differentiable path.
+q(x) = f_yy - d/dx f_yz along a candidate path, from one program in x of
+f's partials composed with y -> y0(x), z -> y0'(x) and d/dx = ∂x + y0'∂y +
+y0''∂z, and the recentering of a problem on any twice-differentiable path.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 import numpy as np
@@ -16,6 +18,8 @@ import numpy as np
 from .calculus import Grid
 from .expr import (
     ZERO,
+    Y,
+    Z,
     Expr,
     Program,
     _postorder,
@@ -24,7 +28,6 @@ from .expr import (
     free_vars,
     parse,
     substitute,
-    var,
 )
 
 
@@ -103,22 +106,6 @@ class Integrand:
         """f, reading the values of ``x_parts`` from the environment."""
         return Program((self.f,), given=self.x_parts)
 
-    @cached_property
-    def certify_program(self) -> Program:
-        """The partials of the residual, then the rest of p and q.
-
-        Roots: f_y, f_xz, f_yz, f_zz for the Euler-Lagrange residual, then
-        f_yy, f_xyz, f_yyz, f_yzz; the last five are ``profile_program``'s
-        roots, and p is f_zz itself.
-        """
-        return Program((self.f_y, self.f_xz, self.f_yz, self.f_zz,
-                        self.f_yy, self.f_xyz, self.f_yyz, self.f_yzz))
-
-    @cached_property
-    def profile_program(self) -> Program:
-        """The partials of p and q alone: f_zz, f_yy, f_xyz, f_yyz, f_yzz."""
-        return Program((self.f_zz, self.f_yy, self.f_xyz, self.f_yyz, self.f_yzz))
-
 
 @dataclass(frozen=True)
 class Extremal:
@@ -156,58 +143,59 @@ class Extremal:
     def y0pp(self) -> Expr:
         return diff(self.y0p, "x")
 
-    @cached_property
-    def program(self) -> Program:
-        """The path and its first two derivatives."""
-        return Program((self.y0, self.y0p, self.y0pp))
-
 
 def ensure_same_interval(y0: Extremal, grid: Grid) -> None:
     if grid.a != y0.a or grid.b != y0.b:
         raise ValueError("grid interval must match the candidate path interval")
 
 
-def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
-    """Sample p and q along the candidate path at arbitrary abscissae.
-
-    The total derivative d/dx f_yz is expanded by the exact chain rule
-    (f_xyz + f_yyz y0' + f_yzz y0''), never by numerical differentiation.
-    """
-    return chunked(partial(_coefficients, f, y0), np.asarray(xs, dtype=float))
-
-
-def _coefficients(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
-    yv, ypv, yppv = y0.program({"x": xs})
-    # the partials are finite, but q may overflow; solve_accessory judges that
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _p_and_q(f.profile_program({"x": xs, "y": yv, "z": ypv}), ypv, yppv)
-
-
-def _p_and_q(partials, ypv, yppv) -> tuple:
-    """p and q from the samples of f_zz, f_yy, f_xyz, f_yyz, f_yzz."""
-    p, f_yy, f_xyz, f_yyz, f_yzz = partials
-    return p, f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
-
-
 def certify_samples(f: Integrand, y0: Extremal, xs) -> tuple:
-    """The Euler-Lagrange residual f_y - (f_xz + f_yz y0' + f_zz y0''), p and q.
-
-    One pass at arbitrary abscissae, chunked like ``coefficient_samples``:
-    per chunk the path is sampled once and ``f.certify_program`` runs once.
-    Its residual roots come first, so an evaluation error is the one that
-    the residual followed by p and q, each sampled on its own, would raise.
-    """
-    return chunked(partial(_certify_chunk, f, y0), np.asarray(xs, dtype=float))
+    """The Euler-Lagrange residual r = f_y - d/dx f_z, p and q along the path,
+    from one run of ``_along``'s program per chunk: an evaluation error is the
+    one that sampling the path, then each partial in turn, would raise."""
+    return chunked(partial(_combined, _along(f, y0, True)), np.asarray(xs, dtype=float))
 
 
-def _certify_chunk(f: Integrand, y0: Extremal, xs: np.ndarray) -> tuple:
-    yv, ypv, yppv = y0.program({"x": xs})
-    partials = f.certify_program({"x": xs, "y": yv, "z": ypv})
-    f_y, f_xz, f_yz, f_zz = partials[:4]
-    # the partials are finite, but the residual and q may overflow; a nan
-    # residual fails stationarity in classify
+def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
+    """p and q along the path, as ``certify_samples`` gives them, without r."""
+    return chunked(partial(_combined, _along(f, y0, False)), np.asarray(xs, dtype=float))
+
+
+# _along's programs by integrand node, path and root set, both held weakly; a
+# path is keyed by its Extremal, which an equal re-parsed path finds, since
+# the program keeps the path's node alive
+_ALONG = weakref.WeakKeyDictionary()
+
+
+def _along(f: Integrand, y0: Extremal, residual: bool) -> Program:
+    """The program in x of y0, y0', y0'' and f's partials, r's if ``residual``,
+    then p's and q's, with y -> y0(x) and z -> y0'(x) composed node for node
+    in one walk, folding nothing, so each term evaluates as it does with y
+    and z bound to the path's samples."""
+    programs = _ALONG.setdefault(f.f, weakref.WeakKeyDictionary()).setdefault(y0, {})
+    if residual not in programs:
+        partials = (f.f_y, f.f_xz, f.f_yz) if residual else ()
+        partials += (f.f_zz, f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz)
+        composed = {Y: y0.y0, Z: y0.y0p}
+        for root in partials:
+            for node in () if root in composed else _postorder(root, composed.__contains__):
+                composed[node] = Expr(node.op, tuple(map(composed.get, node.args)), node.value)
+        programs[residual] = Program((y0.y0, y0.y0p, y0.y0pp, *map(composed.get, partials)))
+    return programs[residual]
+
+
+def _combined(program: Program, xs: np.ndarray) -> tuple:
+    # (r,) p and q from one chunk; r and q may overflow: a nan residual
+    # fails stationarity in classify, and solve_accessory judges q
+    _, ypv, yppv, *residual, p, f_yy, f_xyz, f_yyz, f_yzz = program({"x": xs})
     with np.errstate(over="ignore", invalid="ignore"):
-        return (f_y - f_xz - f_yz * ypv - f_zz * yppv, *_p_and_q(partials[3:], ypv, yppv))
+        q = _less_derivative(f_yy, f_xyz, f_yyz, f_yzz, ypv, yppv)
+        return (_less_derivative(*residual, p, ypv, yppv), p, q) if residual else (p, q)
+
+
+def _less_derivative(g, h_x, h_y, h_z, ypv, yppv):
+    # g - d/dx h along the path, from h's partials: d/dx = ∂x + y0'∂y + y0''∂z
+    return g - h_x - h_y * ypv - h_z * yppv
 
 
 def shift(f: Integrand, y0: Extremal) -> Integrand:
@@ -217,7 +205,7 @@ def shift(f: Integrand, y0: Extremal) -> Integrand:
     coefficient profiles transported this way agree node-wise.
     """
     mapping = {
-        "y": Expr("add", (var("y"), y0.y0)),
-        "z": Expr("add", (var("z"), y0.y0p)),
+        "y": Expr("add", (Y, y0.y0)),
+        "z": Expr("add", (Z, y0.y0p)),
     }
     return Integrand(substitute(f.f, mapping))

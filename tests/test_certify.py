@@ -30,7 +30,7 @@ from varcert import (
     length_bound,
     quad_coefficient,
 )
-from varcert import expr
+from varcert import expr, variational
 from varcert.calculus import SampledPath
 from varcert.certify import _clamped_spline, _normalized, _snapped_knots
 from varcert.cli import main
@@ -228,8 +228,8 @@ def test_domain_error_is_the_whole_array_error_across_chunks():
     assert str(err.value) == "domain error in 'ln': argument not positive"
 
 
-def test_certify_runs_two_programs_per_chunk(monkeypatch):
-    # the path and the fused residual/p/q program, once each per chunk
+def test_certify_runs_one_program_per_chunk(monkeypatch):
+    # the path and f's partials composed along it, in x alone, once per chunk
     f = Integrand.from_text("z^2+sin(x)*y^2+exp(0.5*x)*y*z")
     y0 = Extremal.from_text("0.25*x^2", 0.0, 1.0)
     grid = Grid(0.0, 1.0, 65536)
@@ -244,7 +244,7 @@ def test_certify_runs_two_programs_per_chunk(monkeypatch):
     certify(f, y0, grid)
     chunks = (grid.n + 1) // CHUNK
     assert chunks == 16
-    assert runs == [y0.program, f.certify_program] * chunks
+    assert runs == [variational._along(f, y0, True)] * chunks
 
 
 def _two_pass(f, y0, grid):
@@ -515,7 +515,7 @@ def test_empirical_margin_matches_definition():
     fam = PerturbationFamily(SINE_BASIS, count=1, ladder=(0.1,))
     report = empirical_verify(f, y0, cert, fam, grid)
     label, eta = next(fam.paths(grid))
-    base_y, base_yp, _ = y0.program({"x": grid.nodes})
+    base_y, base_yp, _ = Program((y0.y0, y0.y0p, y0.y0pp))({"x": grid.nodes})
     bumped = SampledPath(grid, base_y + 0.1 * eta.y, base_yp + 0.1 * eta.yp)
     gap = (functional_value(f, bumped)
            - functional_value(f, SampledPath(grid, base_y, base_yp)))

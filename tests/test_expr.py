@@ -1190,11 +1190,27 @@ def test_given_nodes_are_read_not_computed():
 # the program table
 
 
-def test_interned_roots_share_their_live_program():
+def test_interned_roots_share_their_live_program(monkeypatch):
+    # a re-parsed equal problem finds the program composed along the path
+    # for the first: it composes nothing and compiles nothing again
+    from varcert import Extremal, Grid, certify, variational
+
     f = Integrand.from_text("z^2+0.1357913*sin(x)*y^2+exp(0.5*x)*y*z")
-    assert Integrand.from_text(unparse(f.f)).certify_program is f.certify_program
-    roots = [f.f_y, f.f_xz, f.f_yz, f.f_zz, f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz]
-    assert Program(roots) is f.certify_program
+    y0 = Extremal.from_text("0.2468642*x^2", 0.0, 1.0)
+    grid = Grid(0.0, 1.0, 64)
+    walk, compile_ = variational._postorder, Program._compile
+    calls = []
+    monkeypatch.setattr(variational, "_postorder",
+                        lambda *args: calls.append("compose") or walk(*args))
+    monkeypatch.setattr(Program, "_compile",
+                        lambda *args: calls.append("compile") or compile_(*args))
+    first = certify(f, y0, grid)
+    assert "compose" in calls and "compile" in calls
+    calls.clear()
+    again = certify(Integrand.from_text(unparse(f.f)),
+                    Extremal.from_text(unparse(y0.y0), 0.0, 1.0), grid)
+    assert calls == []
+    assert again == first
 
 
 def test_root_order_and_given_set_key_the_program():
@@ -1228,7 +1244,7 @@ def test_program_table_shrinks_when_the_holders_die():
     f = Integrand.from_text("z^2+0.8642097531*cos(x)*y^2")
     y0 = Extremal.from_text("0.3579135*x^2", 0.0, 0.5)
     certify(f, y0, Grid(0.0, 0.5, 64))
-    assert len(_PROGRAMS) == before + 2  # the path and the certify pass
+    assert len(_PROGRAMS) == before + 1  # the certify pass, composed along the path
     del f, y0
     gc.collect()
     assert len(_PROGRAMS) == before

@@ -77,8 +77,14 @@ DELETED = (
     "jacobi.CriteriaComparison",
     "variational.Extremal.boundary_values",
     "variational.Extremal.grid",
+    "variational.Extremal.program",
     "variational.Extremal.sample",
+    "variational.Integrand.certify_program",
+    "variational.Integrand.profile_program",
     "variational.LegendreProfile",
+    "variational._certify_chunk",
+    "variational._coefficients",
+    "variational._p_and_q",
     "variational.el_residual",
     "variational.el_residual_at",
     "variational.el_residual_max",

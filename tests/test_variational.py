@@ -1,11 +1,16 @@
 """Integrand partials, stationarity residual, second-order profile, shift."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from varcert import (
+    EvalDomainError,
     Extremal,
     Grid,
     Integrand,
@@ -15,14 +20,15 @@ from varcert import (
     shift,
     unparse,
 )
-from varcert.expr import CHUNK
+from varcert import variational
+from varcert.expr import CHUNK, X, Program, chunked, substitute
 from varcert.variational import (
     certify_samples,
     coefficient_samples,
     ensure_same_interval,
 )
 
-from conftest import eval_at
+from conftest import eval_at, random_tree
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +55,7 @@ def test_extremal_interval_validation():
 def test_extremal_sampling_derivatives():
     y0 = Extremal.from_text("sin(x)", 0.0, 2.0)
     xs = np.linspace(0.0, 2.0, 9)
-    ys, yps, ypps = y0.program({"x": xs})
+    ys, yps, ypps = Program((y0.y0, y0.y0p, y0.y0pp))({"x": xs})
     assert np.allclose(ys, np.sin(xs))
     assert np.allclose(yps, np.cos(xs))
     assert np.allclose(ypps, -np.sin(xs))
@@ -98,12 +104,12 @@ def _el_residual_fd(f, y0, grid):
     h = (y0.b - y0.a) * 1e-5
 
     def momentum(xs):
-        yv, ypv, _ = y0.program({"x": xs})
+        yv, ypv, _ = Program((y0.y0, y0.y0p, y0.y0pp))({"x": xs})
         return evaluate(f.f_z, {"x": xs, "y": yv, "z": ypv})
 
     xs = grid.nodes
     dfz = (momentum(xs + h) - momentum(xs - h)) / (2.0 * h)
-    yv, ypv, _ = y0.program({"x": xs})
+    yv, ypv, _ = Program((y0.y0, y0.y0p, y0.y0pp))({"x": xs})
     return evaluate(f.f_y, {"x": xs, "y": yv, "z": ypv}) - dfz
 
 
@@ -165,14 +171,130 @@ def test_profile_minima_over_nodes():
 # 2 CHUNK + 2 cells: nodes and midpoints both span two chunks
 @pytest.mark.parametrize("n", [64, 2 * CHUNK + 2])
 def test_certify_and_compare_sample_the_same_p_and_q(corpus100, n):
-    # certify's fused pass and compare's profile program are two programs;
-    # their p and q must agree bit for bit, across chunk boundaries too
+    # certify's program and compare's are two programs composed along the
+    # path, with and without the residual's partials; their p and q must
+    # agree bit for bit, across chunk boundaries too
     for _, f, y0 in corpus100:
         grid = Grid(y0.a, y0.b, n)
         for xs in (grid.nodes, grid.midpoints):
             _, p, q = certify_samples(f, y0, xs)
             want_p, want_q = coefficient_samples(f, y0, xs)
             assert np.array_equal(p, want_p) and np.array_equal(q, want_q)
+
+
+def _path_then_partials(f, y0, xs, residual):
+    # the samples as the path's program, then a program of the partials with
+    # y and z bound to the path's samples, made them
+    path = Program((y0.y0, y0.y0p, y0.y0pp))
+    partials = Program(((f.f_y, f.f_xz, f.f_yz) if residual else ())
+                       + (f.f_zz, f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz))
+
+    def chunk(xs):
+        yv, ypv, yppv = path({"x": xs})
+        *r_parts, p, f_yy, f_xyz, f_yyz, f_yzz = partials({"x": xs, "y": yv, "z": ypv})
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
+            if not residual:
+                return p, q
+            f_y, f_xz, f_yz = r_parts
+            return f_y - f_xz - f_yz * ypv - p * yppv, p, q
+
+    return chunked(chunk, xs)
+
+
+def _bits(values):
+    return [np.asarray(v).view(np.int64).tolist() for v in values]
+
+
+_seeds = st.integers(0, 2 ** 32 - 1).map(np.random.default_rng)
+_random_integrands = _seeds.map(lambda rng: random_tree(rng, 4, rules=True))
+# paths in x alone: constant ones often, since y and z become constants too
+_random_paths = _seeds.map(lambda rng: substitute(random_tree(rng, 3, rules=True),
+                                                  {"y": X, "z": X}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_integrands, _random_paths, st.sampled_from([16, 2 * CHUNK + 2]))
+# the residual's f_xz = 1/(2 sqrt(x)) fails at x = 0; p and q do not need it
+@example(parse("sqrt(x)*z+z^2-y^2"), parse("0.5*x^2"), 16)
+@example(parse("sqrt(x)*z+z^2-y^2"), parse("0.5*x^2"), 2 * CHUNK + 2)
+@example(parse("z^2+sin(x)*y^2+exp(0.5*x)*y*z"), parse("0"), 16)
+def test_samplers_equal_the_path_then_partials_sequence(e, path, n):
+    f = Integrand(e)
+    y0 = Extremal(path, 0.0, 1.0)
+    grid = Grid(0.0, 1.0, n)
+    for sampler, residual in ((coefficient_samples, False), (certify_samples, True)):
+        for xs in (grid.nodes, grid.midpoints):
+            try:
+                want = _path_then_partials(f, y0, xs, residual)
+            except EvalDomainError as expected:
+                with pytest.raises(EvalDomainError) as err:
+                    sampler(f, y0, xs)
+                assert str(err.value) == str(expected)
+                continue
+            assert _bits(sampler(f, y0, xs)) == _bits(want)
+
+
+def test_compare_samples_where_the_residual_fails():
+    f = Integrand.from_text("sqrt(x)*z+z^2-y^2")
+    y0 = Extremal.zero(0.0, 1.0)
+    nodes = Grid(0.0, 1.0, 16).nodes
+    with pytest.raises(EvalDomainError, match="^domain error in 'div': division by zero$"):
+        certify_samples(f, y0, nodes)
+    p, q = coefficient_samples(f, y0, nodes)
+    assert np.array_equal(p, np.full_like(nodes, 2.0))
+    assert np.array_equal(q, np.full_like(nodes, -2.0))
+
+
+@pytest.mark.parametrize("text", ["z^2+(y+1e160)^4", "z^2+exp(-(y+1e160)^2)"])
+def test_power_overflow_along_a_constant_path_raises_at_the_power(text):
+    # along a constant path, the composed partials' terms in y and z are
+    # constants and evaluate as Python floats, so a power that leaves the
+    # float range raises where it is taken, as it does at a single point.
+    # With y and z bound to arrays of the path's samples, it came out inf:
+    # the first root it reached raised "non-finite result" for the first
+    # integrand, and exp(-inf) = 0 left the second's samples finite.
+    nodes = Grid(0.0, 1.0, 8).nodes
+    for sampler in (certify_samples, coefficient_samples):
+        with pytest.raises(EvalDomainError, match="^domain error in 'pow': overflow$"):
+            sampler(Integrand.from_text(text), Extremal.zero(0.0, 1.0), nodes)
+
+
+def _programs_along_paths():
+    return sum(len(programs) for paths in variational._ALONG.values()
+               for programs in paths.values())
+
+
+def test_programs_along_paths_are_held_weakly():
+    # an entry lives while its integrand and its path do, so the table
+    # holds no more programs than there are live problems
+    grid = Grid(0.0, 1.0, 16)
+    gc.collect()
+    before = _programs_along_paths()
+    f = Integrand.from_text("z^2+0.9753186*cos(x)*y^2")
+    y0 = Extremal.from_text("0.8642097*x^2", 0.0, 1.0)
+    certify_samples(f, y0, grid.nodes)
+    coefficient_samples(f, y0, grid.nodes)
+    assert _programs_along_paths() == before + 2
+    path = weakref.ref(y0.y0)
+    del y0
+    gc.collect()
+    assert _programs_along_paths() == before
+    assert path() is None
+
+    y0 = Extremal.from_text("0.8642097*x^2", 0.0, 1.0)
+    certify_samples(f, y0, grid.nodes)
+    assert _programs_along_paths() == before + 1
+    integrand = weakref.ref(f.f)
+    del f
+    gc.collect()
+    assert _programs_along_paths() == before
+    assert integrand() is None
+
+    for k in range(1000):
+        coefficient_samples(Integrand.from_text(f"z^2+{k}.25*y^2+y*z"), y0, grid.nodes)
+    gc.collect()
+    assert _programs_along_paths() == before
 
 
 # ---------------------------------------------------------------------------
