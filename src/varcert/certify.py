@@ -217,9 +217,14 @@ class PerturbationFamily:
         """The (label, SampledPath) perturbations in a fixed order.
 
         A generator: directions are built one at a time, so a caller that
-        walks them holds one in memory.
+        walks them holds one in memory. More than ``grid.n // 2`` sine
+        modes is a ValueError: a higher mode has fewer than two cells per
+        half-wave.
         """
         if self.kind == SINE_BASIS:
+            if self.count > grid.n // 2:
+                raise ValueError(f"count must be <= grid.n // 2 = {grid.n // 2} for sine "
+                                 f"modes (two cells per half-wave), got {self.count}")
             return (self._sine(k, grid) for k in range(1, self.count + 1))
         return (self._spline(i, grid) for i in range(self.count))
 

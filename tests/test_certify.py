@@ -24,6 +24,7 @@ from varcert import (
     VerdictKind,
     certify,
     classify,
+    compare_criteria,
     empirical_verify,
     functional_value,
     h1_norm_sq,
@@ -228,6 +229,14 @@ def test_domain_error_is_the_whole_array_error_across_chunks():
     assert str(err.value) == "domain error in 'ln': argument not positive"
 
 
+def _slice_lengths(n):
+    # the lengths of the slices chunked evaluates n points in: CHUNK each,
+    # the last one also taking the remainder; one slice below 2 CHUNK
+    if n < 2 * CHUNK:
+        return [n]
+    return [CHUNK] * (n // CHUNK - 1) + [CHUNK + n % CHUNK]
+
+
 def test_certify_runs_one_program_per_chunk(monkeypatch):
     # the path and f's partials composed along it, in x alone, once per chunk
     f = Integrand.from_text("z^2+sin(x)*y^2+exp(0.5*x)*y*z")
@@ -235,16 +244,18 @@ def test_certify_runs_one_program_per_chunk(monkeypatch):
     grid = Grid(0.0, 1.0, 65536)
     run = Program._run
     runs = []
+    sizes = []
 
     def counted(program, env):
         runs.append(program)
+        sizes.append(len(env["x"]))
         return run(program, env)
 
     monkeypatch.setattr(Program, "_run", counted)
     certify(f, y0, grid)
-    chunks = (grid.n + 1) // CHUNK
-    assert chunks == 16
-    assert runs == [variational._along(f, y0, True)] * chunks
+    assert len(runs) >= 2
+    assert runs == [variational._along(f, y0, True)] * len(runs)
+    assert sizes == _slice_lengths(grid.n + 1)
 
 
 def _two_pass(f, y0, grid):
@@ -339,6 +350,20 @@ def test_family_validation():
         PerturbationFamily(SINE_BASIS, ladder=(1e-3, 1e-2))
     with pytest.raises(ValueError):
         PerturbationFamily(SINE_BASIS, ladder=(1e-2, -1e-3))
+
+
+def test_sine_modes_need_two_cells_per_half_wave():
+    # mode k has k half-waves over the grid's n cells
+    grid = Grid(0.0, 1.0, 64)
+    labels = [label for label, _ in PerturbationFamily(SINE_BASIS, count=32).paths(grid)]
+    assert labels[-1] == "sine-32"
+    message = r"^count must be <= grid\.n // 2 = 32 for sine modes \(two cells per half-wave\), got "
+    for count in (33, 10 ** 20):
+        # raised by the call, before a direction is built
+        with pytest.raises(ValueError, match=message + str(count) + "$"):
+            PerturbationFamily(SINE_BASIS, count=count).paths(grid)
+    # a spline's size does not depend on the count
+    assert len(list(PerturbationFamily(RANDOM_SPLINE, count=33).paths(Grid(0.0, 1.0, 16)))) == 33
 
 
 @pytest.mark.parametrize("ladder, message", [
@@ -549,7 +574,54 @@ def test_verify_computes_x_parts_once_per_call(monkeypatch):
     report = empirical_verify(f, y0, cert, PerturbationFamily(SINE_BASIS, count=2), grid)
     assert report.passed
     assert len(passes) == 11
-    assert sines == [CHUNK] * 15 + [CHUNK + 1]
+    assert len(sines) >= 2
+    assert sines == _slice_lengths(grid.n + 1)
+
+
+# a corpus-style integrand and its extremal sin(x) on [0, 0.6] (instance 2 of
+# the seed-0 corpus), and the oscillator past its conjugate point
+_SLICED_PROBLEMS = [
+    ("-1.7646266154553225+0.8218082242256473*x+1.8494618449580233*(y-sin(x))"
+     "+(-1.2843507815519515*x^2)+0.6024841786708586*x*(y-sin(x))"
+     "+1.6589024435640116*(y-sin(x))^2"
+     "+(-1.0+x*(1.8494618449580233+x*0.3012420893354293))*(z-cos(x))"
+     "+0.5*(1.0+x^2+(y-sin(x))*(z-cos(x)))*(z-cos(x))^2", "sin(x)", 0.6),
+    ("z^2-y^2", "0", 4.0),
+]
+
+
+def test_the_slice_length_changes_no_bit(monkeypatch):
+    # evaluation is point by point, so certify, compare's march and both
+    # verify ladders come out the same in 8 slices, at CHUNK, and in one
+    n = 1024
+
+    def bits(a):
+        return np.asarray(a, dtype=float).tobytes()
+
+    def run(f, y0, grid):
+        cert = certify(f, y0, grid)
+        sol = compare_criteria(f, y0, grid)
+        reports = ()
+        if cert.quad_coefficient is not None:
+            reports = tuple(empirical_verify(f, y0, cert, PerturbationFamily(kind), grid)
+                            for kind in (SINE_BASIS, RANDOM_SPLINE))
+        return (cert, sol.conjugate_point, reports,
+                *(bits(a) for a in (sol.U, sol.V, sol.p_of_x, sol.q_of_x)))
+
+    outcomes = []
+    for text, path, b in _SLICED_PROBLEMS:
+        f = Integrand.from_text(text)
+        y0 = Extremal.from_text(path, 0.0, b)
+        grid = Grid(0.0, b, n)
+        runs = []
+        for length in (n // 8, CHUNK, n + 2):
+            monkeypatch.setattr(expr, "CHUNK", length)
+            runs.append(run(f, y0, grid))
+        assert runs[0] == runs[1] == runs[2]
+        outcomes.append(runs[0])
+    (cert, _, reports, *_), (_, conjugate, _, *_) = outcomes
+    assert cert.verdict.kind is VerdictKind.MINIMUM_UNCONDITIONAL and len(reports) == 2
+    assert conjugate == pytest.approx(math.pi, abs=1e-2)
 
 
 def test_empirical_threshold_semantics():

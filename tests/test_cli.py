@@ -392,6 +392,19 @@ def test_verify_custom_ladder(tmp_path, capsys):
     assert json.loads(out)["empirical"]["ladder"] == [1e-2, 1e-3]
 
 
+def test_verify_too_many_modes_is_one_error_line(tmp_path, capsys):
+    # 512 cells hold at most 256 sine modes; a larger count is refused before
+    # any direction is built, however large
+    path = _problem(tmp_path)
+    message = ("error: count must be <= grid.n // 2 = 256 for sine modes "
+               "(two cells per half-wave), got 100000000000000000000\n")
+    assert (_run(capsys, ["verify", path, "--modes", "100000000000000000000"])
+            == (EXIT_ERROR, "", message))
+    code, out, _ = _run(capsys, ["verify", path, "--modes", "256", "--ladder", "1e-2"])
+    assert code == EXIT_OK
+    assert json.loads(out)["empirical"]["checks"][255]["label"] == "sine-256"
+
+
 def test_verify_quadrature_overflow_is_one_error_line(tmp_path, capsys):
     # every sample of f is finite, but their Simpson sum is not
     path = _problem(tmp_path, integrand="z^2+1e308", interval={"a": 0, "b": 4})

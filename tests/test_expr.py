@@ -36,6 +36,7 @@ from varcert import (
     unparse,
     var,
 )
+from varcert import expr
 from varcert.certify import _x_part_values
 from varcert.expr import (
     _BINARY_SYMBOL,
@@ -1105,14 +1106,20 @@ def test_compiled_evaluator_matches_reference_bitwise(e, seed):
         assert np.array_equal(_bits(got), _bits(np.broadcast_to(want, (n,))))
 
 
+# the slice rule is the same at every slice length; this one is fixed, so the
+# cases stay put when CHUNK is retuned
+_SLICE = 4096
+
+
 @pytest.mark.parametrize("n, sizes", [
-    (CHUNK + 1, [CHUNK + 1]),
-    (2 * CHUNK - 1, [2 * CHUNK - 1]),
-    (2 * CHUNK, [CHUNK, CHUNK]),
-    (2 * CHUNK + 1, [CHUNK, CHUNK + 1]),
-    (16 * CHUNK + 1, [CHUNK] * 15 + [CHUNK + 1]),
+    (_SLICE + 1, [_SLICE + 1]),
+    (2 * _SLICE - 1, [2 * _SLICE - 1]),
+    (2 * _SLICE, [_SLICE, _SLICE]),
+    (2 * _SLICE + 1, [_SLICE, _SLICE + 1]),
+    (16 * _SLICE + 1, [_SLICE] * 15 + [_SLICE + 1]),
 ])
-def test_chunked_folds_the_remainder_into_the_last_slice(n, sizes):
+def test_chunked_folds_the_remainder_into_the_last_slice(monkeypatch, n, sizes):
+    monkeypatch.setattr(expr, "CHUNK", _SLICE)
     seen = []
 
     def fn(a):

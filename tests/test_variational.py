@@ -20,7 +20,7 @@ from varcert import (
     shift,
     unparse,
 )
-from varcert import variational
+from varcert import expr, variational
 from varcert.expr import CHUNK, X, Program, chunked, substitute
 from varcert.variational import (
     certify_samples,
@@ -168,12 +168,14 @@ def test_profile_minima_over_nodes():
     assert cert.p_min == pytest.approx(min(2.0 + np.sin(grid.nodes)))
 
 
-# 2 CHUNK + 2 cells: nodes and midpoints both span two chunks
-@pytest.mark.parametrize("n", [64, 2 * CHUNK + 2])
-def test_certify_and_compare_sample_the_same_p_and_q(corpus100, n):
+# at a slice length of 4096, 2 x 4096 + 2 cells: nodes and midpoints both
+# span two slices
+@pytest.mark.parametrize("n", [64, 2 * 4096 + 2])
+def test_certify_and_compare_sample_the_same_p_and_q(monkeypatch, corpus100, n):
     # certify's program and compare's are two programs composed along the
     # path, with and without the residual's partials; their p and q must
     # agree bit for bit, across chunk boundaries too
+    monkeypatch.setattr(expr, "CHUNK", 4096)
     for _, f, y0 in corpus100:
         grid = Grid(y0.a, y0.b, n)
         for xs in (grid.nodes, grid.midpoints):
