@@ -61,7 +61,7 @@ class EvalDomainError(ValueError):
 # and keys them on their children's ids (a node keeps its children alive), so
 # the table itself keeps no node alive; constants are keyed on their bits, so
 # 0.0 and -0.0 stay distinct nodes. Each entry drops itself when its node dies,
-# as in a WeakValueDictionary, whose Python-level methods slowed interning.
+# as in weakref's weak-value mapping, whose Python-level methods slowed interning.
 _NODES = {}
 _DOUBLE = struct.Struct("<d")
 _set = object.__setattr__
@@ -262,8 +262,9 @@ def _pow(base, _, n):
     a negative n then takes the reciprocal. So n in {-1, 1, 2} gives the
     bits of numpy's ``**``, other n stay within |n| ulp of it, and every
     IEEE-754 host gives the same bits, which the vector ``pow`` routines
-    behind ``**`` do not. n = 0 gives 1 for every base. A scalar whose
-    power leaves the float range raises, as Python's float ``**`` does.
+    behind ``**`` do not. n = 0 gives 1 for every base. A power that leaves
+    the float range is ±inf, on a float as on an array, as the products it
+    is built from are; the finiteness check at each root then decides.
     """
     if n < 0 and _has_zero(base):
         raise EvalDomainError("pow", "zero base with negative exponent")
@@ -279,13 +280,11 @@ def _pow(base, _, n):
         if not k:
             break
         square = square * square
-    scalar = not isinstance(power, np.ndarray)
     if n < 0:
-        if scalar and power == 0.0:
-            raise EvalDomainError("pow", "overflow")
-        power = 1.0 / power
-    if scalar and math.isinf(power) and not math.isinf(base):
-        raise EvalDomainError("pow", "overflow")
+        if isinstance(power, np.ndarray) or power:
+            power = 1.0 / power
+        else:  # an underflowed float power, whose reciprocal Python refuses
+            power = math.copysign(math.inf, power)
     return power
 
 
@@ -338,15 +337,6 @@ _KERNELS = {
 }
 
 
-# Programs are shared the way nodes are: compiling the roots of a live
-# program, in the same order and with the same given nodes, returns that
-# program. The table holds programs weakly, so an entry lives as long as some
-# holder of its program; it keys them on the ids of those nodes, and a
-# program keeps every node its key names alive, so no live key's ids can be
-# reused by a new node.
-_PROGRAMS = weakref.WeakValueDictionary()
-
-
 class Program:
     """Straight-line evaluation of several expressions sharing subexpressions.
 
@@ -357,28 +347,15 @@ class Program:
     evaluating the roots one after another over the whole arrays raises.
 
     The nodes in ``given`` are not computed: like a variable, each is read
-    from the environment, keyed by the node itself.
-
-    ``Program(roots, given)`` returns the live program for the same roots in
-    the same order and the same given set, if there is one, and compiles a
-    new one otherwise.
+    from the environment, keyed by the node itself. A program keeps its
+    roots alive, in its sections.
     """
 
-    __slots__ = ("_template", "_sections", "_nodes", "__weakref__")
+    __slots__ = ("_template", "_sections")
 
-    def __new__(cls, roots, given=()):
+    def __init__(self, roots, given=()):
         roots = tuple(roots)
         given = frozenset(given)
-        key = (tuple(map(id, roots)), frozenset(map(id, given)))
-        program = _PROGRAMS.get(key)
-        if program is None:
-            program = object.__new__(cls)
-            program._compile(roots, given)
-            program._nodes = (roots, given)
-            _PROGRAMS[key] = program
-        return program
-
-    def _compile(self, roots: tuple, given: frozenset) -> None:
         # a given node is read, so its children are not needed
         position = {}
         last = {}

@@ -286,8 +286,10 @@ def _materialize(rate: Expr, a: float, b: float) -> tuple:
 
 
 def _fit_antiderivative(rate: Expr, a: float, b: float) -> tuple:
+    program = Program((rate,))  # one compile for every fit degree
+
     def rate_samples(xs):
-        return evaluate(rate, {"x": np.asarray(xs, dtype=float)})
+        return program({"x": np.asarray(xs, dtype=float)})[0]
 
     dense = np.linspace(a, b, 4097)
     rate_dense = rate_samples(dense)

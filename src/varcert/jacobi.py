@@ -18,7 +18,7 @@ product of the blocks before it in one elementwise pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,37 +47,22 @@ class AccessorySolution:
     """U and V = p U' at the grid nodes, the node samples of p and q, the
     first conjugate point if any, and the length criterion beside it.
 
-    The last five fields are computed at construction. ``p_min`` and
-    ``q_min`` are the minima of the node samples; ``length_new`` is inf when
-    q_min >= 0 (no restriction); ``length_jacobi`` is inf when no conjugate
-    point exists in (a, b]. ``ratio`` is defined only when both are finite.
+    ``p_min`` and ``q_min`` are the minima of the node samples;
+    ``length_new`` is inf when q_min >= 0 (no restriction);
+    ``length_jacobi`` is inf when no conjugate point exists in (a, b].
+    ``ratio`` is defined only when both are finite.
     """
 
-    grid: Grid
     U: np.ndarray
     V: np.ndarray
     p_of_x: np.ndarray
     q_of_x: np.ndarray
     conjugate_point: Optional[float]
-    p_min: float = field(init=False)
-    q_min: float = field(init=False)
-    length_new: float = field(init=False)
-    length_jacobi: float = field(init=False)
-    ratio: Optional[float] = field(init=False)
-
-    def __post_init__(self):
-        p_min = float(self.p_of_x.min())
-        q_min = float(self.q_of_x.min())
-        bound = length_bound(p_min, q_min)
-        length_new = math.inf if bound is None else bound
-        conjugate = self.conjugate_point
-        length_jacobi = math.inf if conjugate is None else conjugate - self.grid.a
-        ratio = None
-        if math.isfinite(length_new) and math.isfinite(length_jacobi):
-            ratio = length_jacobi / length_new
-        for name, value in (("p_min", p_min), ("q_min", q_min), ("length_new", length_new),
-                            ("length_jacobi", length_jacobi), ("ratio", ratio)):
-            object.__setattr__(self, name, value)
+    p_min: float
+    q_min: float
+    length_new: float
+    length_jacobi: float
+    ratio: Optional[float]
 
 
 def solve_accessory(f: Integrand, y0: Extremal, grid: Grid) -> AccessorySolution:
@@ -88,7 +73,8 @@ def solve_accessory(f: Integrand, y0: Extremal, grid: Grid) -> AccessorySolution
     """
     ensure_same_interval(y0, grid)
     p_nodes, q_nodes = coefficient_samples(f, y0, grid.nodes)
-    if p_nodes.min() <= 0.0:
+    p_min, q_min = float(p_nodes.min()), float(q_nodes.min())
+    if p_min <= 0.0:
         raise LegendreError("comparison requires a strictly positive leading coefficient")
     p_mids, q_mids = coefficient_samples(f, y0, grid.midpoints)
     if p_mids.min() <= 0.0:
@@ -99,7 +85,14 @@ def solve_accessory(f: Integrand, y0: Extremal, grid: Grid) -> AccessorySolution
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise AccessoryIntegrationError("accessory integration produced non-finite values")
     conjugate = first_conjugate_point(grid, U, V / p_nodes)
-    return AccessorySolution(grid, U, V, p_nodes, q_nodes, conjugate)
+    bound = length_bound(p_min, q_min)
+    length_new = math.inf if bound is None else bound
+    length_jacobi = math.inf if conjugate is None else conjugate - grid.a
+    ratio = None
+    if math.isfinite(length_new) and math.isfinite(length_jacobi):
+        ratio = length_jacobi / length_new
+    return AccessorySolution(U, V, p_nodes, q_nodes, conjugate,
+                             p_min, q_min, length_new, length_jacobi, ratio)
 
 
 def _march(h: float, p_nodes: np.ndarray, q_nodes: np.ndarray,

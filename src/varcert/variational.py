@@ -161,9 +161,10 @@ def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
     return chunked(partial(_combined, _along(f, y0, False)), np.asarray(xs, dtype=float))
 
 
-# _along's programs by integrand node, path and root set, both held weakly; a
-# path is keyed by its Extremal, which an equal re-parsed path finds, since
-# the program keeps the path's node alive
+# _along's programs by integrand node, path and root set, both held weakly. A
+# path is keyed by its Extremal, which an equal re-parsed path finds, not by
+# its node: the node is a root of the program, which keeps it alive, so an
+# entry keyed on it would never die
 _ALONG = weakref.WeakKeyDictionary()
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from varcert import (
     AccessoryIntegrationError,
-    AccessorySolution,
     Extremal,
     Grid,
     Integrand,
@@ -24,7 +23,8 @@ from varcert.variational import coefficient_samples
 def _solve(f_text, a, b, n=256, y0_text="0"):
     f = Integrand.from_text(f_text)
     y0 = Extremal.from_text(y0_text, a, b)
-    return solve_accessory(f, y0, Grid(a, b, n))
+    grid = Grid(a, b, n)
+    return solve_accessory(f, y0, grid), grid
 
 
 # ---------------------------------------------------------------------------
@@ -33,41 +33,41 @@ def _solve(f_text, a, b, n=256, y0_text="0"):
 
 def test_oscillator_solution_is_sine():
     # p = 2, q = -2: U'' = -U with U(0)=0, U'(0)=1, so U = sin
-    sol = _solve("z^2-y^2", 0.0, 2.0)
-    assert np.max(np.abs(sol.U - np.sin(sol.grid.nodes))) < 1e-9
-    assert np.max(np.abs(sol.V / sol.p_of_x - np.cos(sol.grid.nodes))) < 1e-9
+    sol, grid = _solve("z^2-y^2", 0.0, 2.0)
+    assert np.max(np.abs(sol.U - np.sin(grid.nodes))) < 1e-9
+    assert np.max(np.abs(sol.V / sol.p_of_x - np.cos(grid.nodes))) < 1e-9
 
 
 def test_coercive_solution_is_sinh():
     # p = 1, q = 1: U'' = U with U(0)=0, U'(0)=1, so U = sinh
-    sol = _solve("0.5*z^2+0.5*y^2", 0.0, 2.0)
-    assert np.max(np.abs(sol.U - np.sinh(sol.grid.nodes))) < 1e-8
+    sol, grid = _solve("0.5*z^2+0.5*y^2", 0.0, 2.0)
+    assert np.max(np.abs(sol.U - np.sinh(grid.nodes))) < 1e-8
     assert sol.conjugate_point is None
 
 
 def test_initial_conditions():
-    sol = _solve("z^2-y^2", 0.0, 1.0)
+    sol, _ = _solve("z^2-y^2", 0.0, 1.0)
     assert sol.U[0] == 0.0
     assert sol.V[0] == pytest.approx(2.0)  # V = p U' with p = 2, U'(a) = 1
     assert (sol.V / sol.p_of_x)[0] == pytest.approx(1.0)
 
 
 def test_conjugate_point_oscillator():
-    sol = _solve("z^2-y^2", 0.0, 4.0, n=512)
+    sol, _ = _solve("z^2-y^2", 0.0, 4.0, n=512)
     assert sol.conjugate_point == pytest.approx(math.pi, abs=1e-6)
 
 
 def test_conjugate_point_half_frequency():
     # p = 1, q = -1/4: U = 2 sin(x/2), first zero at 2 pi
-    sol = _solve("0.5*z^2-0.125*y^2", 0.0, 7.0, n=512)
+    sol, _ = _solve("0.5*z^2-0.125*y^2", 0.0, 7.0, n=512)
     assert sol.conjugate_point == pytest.approx(2.0 * math.pi, abs=1e-6)
 
 
 def test_no_conjugate_point_before_first_zero():
     # sin stays positive on (0, 3]
-    sol = _solve("z^2-y^2", 0.0, 3.0)
+    sol, grid = _solve("z^2-y^2", 0.0, 3.0)
     assert sol.conjugate_point is None
-    assert first_conjugate_point(sol.grid, sol.U, sol.V / sol.p_of_x) is None
+    assert first_conjugate_point(grid, sol.U, sol.V / sol.p_of_x) is None
 
 
 def _first_conjugate_point_loop(grid, U, Up):
@@ -150,7 +150,7 @@ def _accessory_loop(f, y0, grid):
         v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         U[i + 1] = u
         V[i + 1] = v
-    return AccessorySolution(grid, U, V, p_nodes, q_nodes, None)
+    return U, V, p_nodes, q_nodes
 
 
 _MARCH_CASES = {
@@ -171,13 +171,13 @@ def test_march_matches_the_loop(case, n):
     y0 = Extremal.from_text(y0_text, a, b)
     grid = Grid(a, b, n)
     sol = solve_accessory(f, y0, grid)
-    ref = _accessory_loop(f, y0, grid)
+    U, V, p_nodes, q_nodes = _accessory_loop(f, y0, grid)
     # the scan groups the same products differently: agreement to rounding
-    assert np.max(np.abs(sol.U - ref.U)) <= 1e-11 * np.max(np.abs(ref.U))
-    assert np.max(np.abs(sol.V - ref.V)) <= 1e-11 * np.max(np.abs(ref.V))
-    assert sol.U[0] == ref.U[0] and sol.V[0] == ref.V[0]
-    assert np.array_equal(sol.p_of_x, ref.p_of_x) and np.array_equal(sol.q_of_x, ref.q_of_x)
-    expected = first_conjugate_point(ref.grid, ref.U, ref.V / ref.p_of_x)
+    assert np.max(np.abs(sol.U - U)) <= 1e-11 * np.max(np.abs(U))
+    assert np.max(np.abs(sol.V - V)) <= 1e-11 * np.max(np.abs(V))
+    assert sol.U[0] == U[0] and sol.V[0] == V[0]
+    assert np.array_equal(sol.p_of_x, p_nodes) and np.array_equal(sol.q_of_x, q_nodes)
+    expected = first_conjugate_point(grid, U, V / p_nodes)
     if expected is None:
         assert sol.conjugate_point is None
     else:
@@ -207,8 +207,8 @@ def test_overflow_raises_without_warnings():
 def test_variable_coefficient_scaling():
     # p = 1 + x^2 with q = 0: V is constant, U' = V / p, so
     # U(x) = p(a) * arctan(x) with a = 0
-    sol = _solve("0.5*(1+x^2)*z^2", 0.0, 2.0, n=512)
-    assert np.max(np.abs(sol.U - np.arctan(sol.grid.nodes))) < 1e-8
+    sol, grid = _solve("0.5*(1+x^2)*z^2", 0.0, 2.0, n=512)
+    assert np.max(np.abs(sol.U - np.arctan(grid.nodes))) < 1e-8
     assert sol.conjugate_point is None
 
 
@@ -229,8 +229,8 @@ def test_legendre_violation_raises():
 def test_rk4_error_ratio_under_halving(f_text, exact):
     errors = []
     for n in (64, 128, 256):
-        sol = _solve(f_text, 0.0, 2.0, n=n)
-        errors.append(float(np.max(np.abs(sol.U - exact(sol.grid.nodes)))))
+        sol, grid = _solve(f_text, 0.0, 2.0, n=n)
+        errors.append(float(np.max(np.abs(sol.U - exact(grid.nodes)))))
     for coarse, fine in zip(errors, errors[1:]):
         assert 8.0 <= coarse / fine <= 32.0
 

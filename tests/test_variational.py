@@ -221,6 +221,11 @@ _random_paths = _seeds.map(lambda rng: substitute(random_tree(rng, 3, rules=True
 @example(parse("sqrt(x)*z+z^2-y^2"), parse("0.5*x^2"), 16)
 @example(parse("sqrt(x)*z+z^2-y^2"), parse("0.5*x^2"), 2 * CHUNK + 2)
 @example(parse("z^2+sin(x)*y^2+exp(0.5*x)*y*z"), parse("0"), 16)
+# along a constant path the terms in y and z are floats: a power that leaves
+# the float range is inf there, as it is with y and z bound to arrays
+@example(parse("z^2+(y+1e160)^4"), parse("0"), 16)
+@example(parse("z^2+exp(-(y+1e160)^2)"), parse("0"), 16)
+@example(parse("z^2+(y+1e-200)^-2*x"), parse("0"), 16)
 def test_samplers_equal_the_path_then_partials_sequence(e, path, n):
     f = Integrand(e)
     y0 = Extremal(path, 0.0, 1.0)
@@ -248,18 +253,25 @@ def test_compare_samples_where_the_residual_fails():
     assert np.array_equal(q, np.full_like(nodes, -2.0))
 
 
-@pytest.mark.parametrize("text", ["z^2+(y+1e160)^4", "z^2+exp(-(y+1e160)^2)"])
-def test_power_overflow_along_a_constant_path_raises_at_the_power(text):
-    # along a constant path, the composed partials' terms in y and z are
-    # constants and evaluate as Python floats, so a power that leaves the
-    # float range raises where it is taken, as it does at a single point.
-    # With y and z bound to arrays of the path's samples, it came out inf:
-    # the first root it reached raised "non-finite result" for the first
-    # integrand, and exp(-inf) = 0 left the second's samples finite.
-    nodes = Grid(0.0, 1.0, 8).nodes
-    for sampler in (certify_samples, coefficient_samples):
-        with pytest.raises(EvalDomainError, match="^domain error in 'pow': overflow$"):
-            sampler(Integrand.from_text(text), Extremal.zero(0.0, 1.0), nodes)
+def test_a_reparsed_problem_composes_and_compiles_nothing(monkeypatch):
+    # a re-parsed equal problem finds the program composed along the path
+    # for the first in the path table
+    f = Integrand.from_text("z^2+0.1357913*sin(x)*y^2+exp(0.5*x)*y*z")
+    y0 = Extremal.from_text("0.2468642*x^2", 0.0, 1.0)
+    grid = Grid(0.0, 1.0, 64)
+    walk, init = variational._postorder, Program.__init__
+    calls = []
+    monkeypatch.setattr(variational, "_postorder",
+                        lambda *args: calls.append("compose") or walk(*args))
+    monkeypatch.setattr(Program, "__init__",
+                        lambda *args, **kwargs: calls.append("compile") or init(*args, **kwargs))
+    first = certify(f, y0, grid)
+    assert "compose" in calls and "compile" in calls
+    calls.clear()
+    again = certify(Integrand.from_text(unparse(f.f)),
+                    Extremal.from_text(unparse(y0.y0), 0.0, 1.0), grid)
+    assert calls == []
+    assert again == first
 
 
 def _programs_along_paths():
