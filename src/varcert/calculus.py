@@ -9,6 +9,7 @@ from functools import cached_property
 import numpy as np
 
 _BOUNDARY_TOL = 1e-12
+DEFAULT_GRID_N = 512
 
 
 @dataclass(frozen=True)
@@ -17,7 +18,7 @@ class Grid:
 
     a: float
     b: float
-    n: int = 512
+    n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
         a = float(self.a)

@@ -41,6 +41,9 @@ class VerdictKind(Enum):
 
 MINIMUM_KINDS = frozenset({VerdictKind.MINIMUM_UNCONDITIONAL, VerdictKind.MINIMUM_UNDER_LENGTH})
 
+# the largest stationarity residual that still counts as an extremal
+DEFAULT_EL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -70,7 +73,7 @@ def _within_length(p_min: float, q_min: float, length: float) -> bool:
 
 
 def classify(p_min: float, q_min: float, el_max: float, a: float, b: float,
-             el_tol: float = 1e-8) -> Verdict:
+             el_tol: float = DEFAULT_EL_TOL) -> Verdict:
     """Order of checks: extremality, Legendre, sign of q, interval length.
 
     Inconclusive means the sufficient criterion is silent; it never claims
@@ -136,7 +139,8 @@ class Certificate:
             raise ValueError("quad_coefficient must be positive")
 
 
-def certify(f: Integrand, y0: Extremal, grid: Grid, el_tol: float = 1e-8) -> Certificate:
+def certify(f: Integrand, y0: Extremal, grid: Grid,
+            el_tol: float = DEFAULT_EL_TOL) -> Certificate:
     """Full pipeline: residual, Legendre profile, verdict, quadratic coefficient.
 
     The residual, p and q come from one pass of ``certify_samples`` over the
@@ -200,6 +204,9 @@ class PerturbationFamily:
     def __post_init__(self):
         if self.kind not in (SINE_BASIS, RANDOM_SPLINE):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        for name, value in (("count", self.count), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.seed < 0:
@@ -366,7 +373,7 @@ def empirical_verify(f: Integrand, y0: Extremal, cert: Certificate,
     ensure_same_interval(y0, grid)
     coefficient = cert.quad_coefficient
     xs = grid.nodes
-    base_y, base_yp, _ = Program((y0.y0, y0.y0p, y0.y0pp))({"x": xs})
+    base_y, base_yp = Program((y0.y0, y0.y0p))({"x": xs})
     base = SampledPath(grid, base_y, base_yp)
     x_values = _x_part_values(f, xs)
     base_value = functional_value(f, base, x_values)

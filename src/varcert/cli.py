@@ -20,8 +20,9 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .calculus import Grid
+from .calculus import DEFAULT_GRID_N, Grid
 from .certify import (
+    DEFAULT_EL_TOL,
     MINIMUM_KINDS,
     RANDOM_SPLINE,
     SINE_BASIS,
@@ -46,9 +47,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_PRECONDITION = 3
-
-_DEFAULT_GRID_N = 512
-_DEFAULT_EL_TOL = 1e-8
 
 _NOTES = {
     VerdictKind.MINIMUM_UNCONDITIONAL: (
@@ -117,7 +115,7 @@ def _resolve_grid_n(flag: Optional[int], file_value) -> int:
     elif file_value is not None:
         n = file_value
     else:
-        n = _DEFAULT_GRID_N
+        n = DEFAULT_GRID_N
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("grid_n must be an integer")
     return n
@@ -166,7 +164,7 @@ def _load_problem(args) -> tuple:
     if not isinstance(integrand, str) or not isinstance(extremal, str):
         raise ValueError("integrand and extremal must be expression strings")
     grid_n = _resolve_grid_n(args.grid_n, raw.get("grid_n"))
-    el_tol = _resolve_el_tol(args.el_tol, raw.get("el_tol", _DEFAULT_EL_TOL))
+    el_tol = _resolve_el_tol(args.el_tol, raw.get("el_tol", DEFAULT_EL_TOL))
     a, b = float(a), float(b)
     echo = {"integrand": integrand, "interval": {"a": a, "b": b}, "extremal": extremal,
             "grid_n": grid_n, "el_tol": el_tol}

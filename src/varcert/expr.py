@@ -316,8 +316,25 @@ def _beyond_overflow(u):
     return _highest(u) > _OVERFLOW_ARG or _lowest(u) < -_OVERFLOW_ARG
 
 
+def _root(value, env, root):
+    # a root's value, which must be finite; over an env that holds arrays, a
+    # scalar (a constant, or a root in variables bound to floats) is filled
+    # to the shape of the first array in env
+    if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
+        raise EvalDomainError(root.op, "non-finite result")
+    if isinstance(value, np.ndarray):
+        return value
+    for like in env.values():
+        if isinstance(like, np.ndarray):
+            out = np.empty_like(like)  # np.full_like(like, value), without its overhead
+            out.fill(value)
+            return out
+    return value
+
+
 # kernel(first operand, second operand, payload) per op; a unary kernel
-# ignores its second operand, and "var" reads its first operand, the env
+# ignores its second operand, "var" reads its first operand, the env, and
+# "root", which no op uses, is the rule for a root's value
 _KERNELS = {
     "var": _load,
     "add": lambda u, v, _: u + v,
@@ -334,122 +351,96 @@ _KERNELS = {
     "sqrt": _guarded("sqrt", np.sqrt, lambda u: _lowest(u) < 0.0, "negative argument"),
     "sinh": _guarded("sinh", np.sinh, _beyond_overflow, "overflow"),
     "cosh": _guarded("cosh", np.cosh, _beyond_overflow, "overflow"),
+    "root": _root,
 }
 
 
 class Program:
     """Straight-line evaluation of several expressions sharing subexpressions.
 
-    Compiling walks the roots post-order, in root order, and gives each
-    distinct node one instruction; a register is reused once its value has
-    had its last use. A run checks every domain condition and, after each
-    root's instructions, that root is finite, so it raises the error that
-    evaluating the roots one after another over the whole arrays raises.
+    Compiling walks the roots post-order, in root order, into one flat list
+    of instructions: each distinct node once, and after each root's nodes a
+    root instruction, ``_KERNELS["root"]``, which raises unless the root's
+    value is finite, then fills a scalar over an env that holds arrays and
+    writes the value to the root's own output register, never reused. Any
+    other register is reused once its value has had its last use. So a run
+    raises the error that evaluating the roots one after another over the
+    whole arrays raises.
 
     The nodes in ``given`` are not computed: like a variable, each is read
     from the environment, keyed by the node itself. A program keeps its
-    roots alive, in its sections.
+    roots alive, as the payloads of their root instructions.
     """
 
-    __slots__ = ("_template", "_sections")
+    __slots__ = ("_template", "_code", "_outputs")
 
     def __init__(self, roots, given=()):
         roots = tuple(roots)
         given = frozenset(given)
-        # a given node is read, so its children are not needed
-        position = {}
+        # the run order: each root's nodes not yet met, post-order, then
+        # (its output register, the root); a given node's children are not
+        # needed, since it is read
+        steps = []
         last = {}
-        ends = []
-        for root in roots:
-            if root not in position:
-                for node in _postorder(root, position.__contains__, given.__contains__):
-                    t = position[node] = len(position)
+        met = set()
+        for out, root in enumerate(roots, 1):
+            if root not in met:
+                for node in _postorder(root, met.__contains__, given.__contains__):
+                    met.add(node)
                     if node not in given:
                         for child in node.args:
-                            last[child] = t
-            ends.append(len(position))
-        for root, end in zip(roots, ends):
-            last[root] = max(last.get(root, -1), end - 1)
+                            last[child] = len(steps)
+                    steps.append(node)
+            last[root] = len(steps)
+            steps.append((out, root))
         dying = {}
         for node, t in last.items():
             if node.op != "const":
                 dying.setdefault(t, []).append(node)
-        # register 0 holds the environment; constants keep their registers
-        template = [None]
+        # register 0 holds the environment, the next ones the roots' values;
+        # constants keep their registers
+        template = [None] * (1 + len(roots))
         register = {}
         free = []
         code = []
-        emitted = []
-        for t, node in enumerate(position):
-            if node.op == "const":
-                register[node] = len(template)
-                template.append(node.value)
+        for t, step in enumerate(steps):
+            if isinstance(step, tuple):
+                out, root = step
+                code.append((_KERNELS["root"], out, register[root], 0, root))
+            elif step.op == "const":
+                register[step] = len(template)
+                template.append(step.value)
             else:
                 dest = free.pop() if free else len(template)
                 if dest == len(template):
                     template.append(None)
-                if node in given:
-                    code.append((_load, dest, 0, 0, node))
+                if step in given:
+                    code.append((_load, dest, 0, 0, step))
                 else:
-                    args = node.args
+                    args = step.args
                     # a leaf (var) reads register 0, the environment
                     a = register[args[0]] if args else 0
                     b = register[args[-1]] if args else 0
-                    code.append((_KERNELS[node.op], dest, a, b, node.value))
-                register[node] = dest
-            emitted.append(len(code))
+                    code.append((_KERNELS[step.op], dest, a, b, step.value))
+                register[step] = dest
             for dead in dying.get(t, ()):
                 free.append(register[dead])
-        # each root's section: its instructions, then where its value sits
-        sections = []
-        start = 0
-        for root, end in zip(roots, ends):
-            stop = emitted[end - 1]
-            sections.append((tuple(code[start:stop]), register[root], root))
-            start = stop
         self._template = template
-        self._sections = tuple(sections)
+        self._code = tuple(code)
+        self._outputs = slice(1, 1 + len(roots))
 
     def _run(self, env) -> list:
         regs = self._template.copy()
         regs[0] = env
-        values = []
         with np.errstate(all="ignore"):
-            for code, reg, root in self._sections:
-                for kernel, dest, a, b, payload in code:
-                    regs[dest] = kernel(regs[a], regs[b], payload)
-                value = regs[reg]
-                if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
-                        else math.isfinite(value)):
-                    raise EvalDomainError(root.op, "non-finite result")
-                values.append(value)
-        return values
+            for kernel, dest, a, b, payload in self._code:
+                regs[dest] = kernel(regs[a], regs[b], payload)
+        return regs[self._outputs]
 
     def __call__(self, env: Mapping[str, Number]) -> tuple:
-        """Each root's value on floats or numpy arrays; raises EvalDomainError.
-
-        Over an env that holds arrays, a root that comes out as a scalar (a
-        constant, or one in variables the env binds to floats) is filled to
-        the shape of the first array in env.
-        """
+        """Each root's value on floats or numpy arrays; raises EvalDomainError."""
         names = tuple(env)
-        values = tuple(env.values())
-        first = next((i for i, v in enumerate(values) if isinstance(v, np.ndarray)), None)
-        if first is None:
-            return tuple(self._run(dict(env)))
-
-        def run(*chunk):
-            return [v if isinstance(v, np.ndarray) else _filled(chunk[first], v)
-                    for v in self._run(dict(zip(names, chunk)))]
-
-        return chunked(run, *values)
-
-
-def _filled(like: np.ndarray, value: float) -> np.ndarray:
-    # np.full_like(like, value), without its Python-level overhead
-    out = np.empty_like(like)
-    out.fill(value)
-    return out
+        return chunked(lambda *values: self._run(dict(zip(names, values))), *env.values())
 
 
 def chunked(fn, *args) -> tuple:
@@ -457,11 +448,10 @@ def chunked(fn, *args) -> tuple:
 
     When the array arguments are all 1-D of one length of at least 2 CHUNK,
     fn runs on aligned slices of them (other arguments pass unchanged) and
-    each of its results is either an array, assembled from the slices, or a
-    scalar. The last slice also takes the remainder of fewer than CHUNK
-    points, so no slice is shorter than CHUNK. If a slice raises
-    EvalDomainError, fn runs once over the whole arrays, so the error raised
-    is the one a single pass raises.
+    its results, arrays, are assembled from the slices. The last slice also
+    takes the remainder of fewer than CHUNK points, so no slice is shorter
+    than CHUNK. If a slice raises EvalDomainError, fn runs once over the
+    whole arrays, so the error raised is the one a single pass raises.
     """
     shapes = {a.shape for a in args if isinstance(a, np.ndarray)}
     if len(shapes) != 1:
@@ -476,11 +466,9 @@ def chunked(fn, *args) -> tuple:
             stop = start + CHUNK if n - start >= 2 * CHUNK else n
             values = fn(*(a[start:stop] if isinstance(a, np.ndarray) else a for a in args))
             if out is None:
-                out = [np.empty(n, v.dtype) if isinstance(v, np.ndarray) else v
-                       for v in values]
+                out = [np.empty(n, v.dtype) for v in values]
             for whole, value in zip(out, values):
-                if isinstance(whole, np.ndarray):
-                    whole[start:stop] = value
+                whole[start:stop] = value
     except EvalDomainError:
         return tuple(fn(*args))
     return tuple(out)

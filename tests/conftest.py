@@ -1,9 +1,11 @@
-"""Shared fixtures and random expression-tree machinery for the test suite."""
+"""Shared fixtures, references and random expression-tree machinery for the
+test suite."""
 
 import numpy as np
 import pytest
 
 from varcert import Expr, const, evaluate, var, sample_corpus
+from varcert.expr import Program, chunked
 
 _VARIABLES = ("x", "y", "z")
 _UNARY = ("sin", "cos", "exp", "ln", "sqrt", "tan", "sinh", "cosh")
@@ -12,6 +14,33 @@ _UNARY = ("sin", "cos", "exp", "ln", "sqrt", "tan", "sinh", "cosh")
 def eval_at(e: Expr, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> float:
     """The value of e at one point (x, y, z), as a Python float."""
     return float(evaluate(e, {"x": x, "y": y, "z": z}))
+
+
+def bits(value) -> np.ndarray:
+    """The IEEE-754 bit patterns of a float, an array or a sequence of
+    either, so that equal bits compare equal, nan and -0.0 included."""
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+def path_then_partials(f, y0, xs, residual: bool) -> tuple:
+    """The reference for sequential sampling: (r,) p and q along y0 at xs as
+    the path's program, then a program of the partials with y and z bound to
+    the path's samples, make them, chunk by chunk."""
+    path = Program((y0.y0, y0.y0p, y0.y0pp))
+    partials = Program(((f.f_y, f.f_xz, f.f_yz) if residual else ())
+                       + (f.f_zz, f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz))
+
+    def chunk(xs):
+        yv, ypv, yppv = path({"x": xs})
+        *r_parts, p, f_yy, f_xyz, f_yyz, f_yzz = partials({"x": xs, "y": yv, "z": ypv})
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
+            if not residual:
+                return p, q
+            f_y, f_xz, f_yz = r_parts
+            return f_y - f_xz - f_yz * ypv - p * yppv, p, q
+
+    return chunked(chunk, xs)
 
 
 def random_tree(rng: np.random.Generator, depth: int, rules: bool = False) -> Expr:

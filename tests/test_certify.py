@@ -35,8 +35,10 @@ from varcert import expr, variational
 from varcert.calculus import SampledPath
 from varcert.certify import _clamped_spline, _normalized, _snapped_knots
 from varcert.cli import main
-from varcert.expr import CHUNK, Expr, Program, X, Y, Z, chunked, const, parse
+from varcert.expr import CHUNK, Expr, Program, X, Y, Z, const, parse
 from varcert.variational import certify_samples
+
+from conftest import bits, path_then_partials
 
 PI_SQ = math.pi * math.pi
 
@@ -259,24 +261,8 @@ def test_certify_runs_one_program_per_chunk(monkeypatch):
 
 
 def _two_pass(f, y0, grid):
-    # certify's numbers as two whole-grid passes made them: the residual's
-    # partials, then p's and q's, each with the path sampled again
-    path = Program((y0.y0, y0.y0p, y0.y0pp))
-    residual_program = Program((f.f_y, f.f_xz, f.f_yz, f.f_zz))
-    profile_program = Program((f.f_zz, f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz))
-
-    def residual(xs):
-        yv, ypv, yppv = path({"x": xs})
-        f_y, f_xz, f_yz, f_zz = residual_program({"x": xs, "y": yv, "z": ypv})
-        return (f_y - f_xz - f_yz * ypv - f_zz * yppv,)
-
-    def profile(xs):
-        yv, ypv, yppv = path({"x": xs})
-        p, f_yy, f_xyz, f_yyz, f_yzz = profile_program({"x": xs, "y": yv, "z": ypv})
-        return p, f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
-
-    (r,) = chunked(residual, grid.nodes)
-    p, q = chunked(profile, grid.nodes)
+    # certify's numbers as the path's program, then the partials', make them
+    r, p, q = path_then_partials(f, y0, grid.nodes, True)
     return float(np.max(np.abs(r))), float(p.min()), float(q.min())
 
 
@@ -293,10 +279,6 @@ _coefficients = st.floats(-2.0, 2.0).map(lambda v: const(round(v, 3)))
 _integrands = st.recursive(st.one_of(_coefficients, st.sampled_from([X, Y, Z])),
                            _fused_combine, max_leaves=8)
 _paths = st.recursive(st.one_of(_coefficients, st.just(X)), _fused_combine, max_leaves=4)
-
-
-def _float_bits(value):
-    return np.float64(value).view(np.int64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +303,7 @@ def test_fused_certify_pass_equals_the_two_pass_sequence(e, path, n):
             return
         cert = certify(f, y0, grid)
     got = cert.verdict.el_residual_max, cert.p_min, cert.q_min
-    assert list(map(_float_bits, got)) == list(map(_float_bits, want))
+    assert np.array_equal(bits(got), bits(want))
 
 
 def test_functional_value_dirichlet():
@@ -530,6 +512,16 @@ def test_empirical_verify_requires_coefficient():
     assert cert.quad_coefficient is None
     with pytest.raises(ValueError):
         empirical_verify(f, y0, cert, PerturbationFamily(SINE_BASIS), grid)
+
+
+def test_empirical_verify_samples_no_second_derivative():
+    # y0'' = -1e320*sin(1e160*x) overflows, but the probes need only y0, y0'
+    f = Integrand.from_text("y^2")
+    y0 = Extremal.from_text("sin(1e160*x)", 0.0, 1.0)
+    cert = Certificate(Verdict(VerdictKind.MINIMUM_UNCONDITIONAL, 0.0), 1.0, 1.0, 0.5)
+    family = PerturbationFamily(SINE_BASIS, count=2)
+    report = empirical_verify(f, y0, cert, family, Grid(0.0, 1.0, 16))
+    assert [check.label for check in report.checks] == ["sine-1", "sine-2"]
 
 
 def test_empirical_margin_matches_definition():

@@ -21,14 +21,14 @@ from varcert import (
     unparse,
 )
 from varcert import expr, variational
-from varcert.expr import CHUNK, X, Program, chunked, substitute
+from varcert.expr import CHUNK, X, Program, substitute
 from varcert.variational import (
     certify_samples,
     coefficient_samples,
     ensure_same_interval,
 )
 
-from conftest import eval_at, random_tree
+from conftest import bits, eval_at, path_then_partials, random_tree
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +184,6 @@ def test_certify_and_compare_sample_the_same_p_and_q(monkeypatch, corpus100, n):
             assert np.array_equal(p, want_p) and np.array_equal(q, want_q)
 
 
-def _path_then_partials(f, y0, xs, residual):
-    # the samples as the path's program, then a program of the partials with
-    # y and z bound to the path's samples, made them
-    path = Program((y0.y0, y0.y0p, y0.y0pp))
-    partials = Program(((f.f_y, f.f_xz, f.f_yz) if residual else ())
-                       + (f.f_zz, f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz))
-
-    def chunk(xs):
-        yv, ypv, yppv = path({"x": xs})
-        *r_parts, p, f_yy, f_xyz, f_yyz, f_yzz = partials({"x": xs, "y": yv, "z": ypv})
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = f_yy - f_xyz - f_yyz * ypv - f_yzz * yppv
-            if not residual:
-                return p, q
-            f_y, f_xz, f_yz = r_parts
-            return f_y - f_xz - f_yz * ypv - p * yppv, p, q
-
-    return chunked(chunk, xs)
-
-
-def _bits(values):
-    return [np.asarray(v).view(np.int64).tolist() for v in values]
-
-
 _seeds = st.integers(0, 2 ** 32 - 1).map(np.random.default_rng)
 _random_integrands = _seeds.map(lambda rng: random_tree(rng, 4, rules=True))
 # paths in x alone: constant ones often, since y and z become constants too
@@ -233,13 +209,13 @@ def test_samplers_equal_the_path_then_partials_sequence(e, path, n):
     for sampler, residual in ((coefficient_samples, False), (certify_samples, True)):
         for xs in (grid.nodes, grid.midpoints):
             try:
-                want = _path_then_partials(f, y0, xs, residual)
+                want = path_then_partials(f, y0, xs, residual)
             except EvalDomainError as expected:
                 with pytest.raises(EvalDomainError) as err:
                     sampler(f, y0, xs)
                 assert str(err.value) == str(expected)
                 continue
-            assert _bits(sampler(f, y0, xs)) == _bits(want)
+            assert np.array_equal(bits(sampler(f, y0, xs)), bits(want))
 
 
 def test_compare_samples_where_the_residual_fails():
