@@ -211,6 +211,8 @@ class PerturbationFamily:
             raise ValueError("count must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if isinstance(self.ladder, (str, bytes)) or not hasattr(self.ladder, "__iter__"):
+            raise TypeError("ladder must be a sequence of numbers")
         ladder = tuple(float(t) for t in self.ladder)
         if not all(map(math.isfinite, ladder)):
             raise ValueError("ladder entries must be finite")

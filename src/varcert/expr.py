@@ -35,9 +35,6 @@ _ARITY = {"const": 0, "var": 0, "pow": 1}
 _ARITY.update({op: 1 for op in _UNARY})
 _ARITY.update({op: 2 for op in _BINARY})
 
-# exp/sinh/cosh argument ceiling keeping float64 finite
-_OVERFLOW_ARG = 700.0
-
 
 class ParseError(ValueError):
     """Expression text rejected; carries the offset of the first bad character."""
@@ -49,7 +46,7 @@ class ParseError(ValueError):
 
 
 class EvalDomainError(ValueError):
-    """Evaluation left the domain of some node (ln, sqrt, div, pow, overflow)."""
+    """A point outside the domain of div, pow, ln, sqrt or var, or a non-finite root."""
 
     def __init__(self, op: str, detail: str):
         self.op = op
@@ -300,20 +297,12 @@ def _guarded(op, fn, outside, detail):
     return kernel
 
 
-# The least and greatest of u, skipping nan, so a guard on them raises for
-# the same u as np.any over an elementwise comparison: a nan fails every
-# comparison and is left to the finiteness check. They also take Python
-# floats, and an empty array, which passes every guard.
+# The least of u, skipping nan, so a guard on it raises for the same u as
+# np.any over an elementwise comparison: a nan fails every comparison and is
+# left to the finiteness check. It also takes a Python float, and an empty
+# array, which passes every guard.
 def _lowest(u):
     return np.fmin.reduce(u, initial=math.inf)
-
-
-def _highest(u):
-    return np.fmax.reduce(u, initial=-math.inf)
-
-
-def _beyond_overflow(u):
-    return _highest(u) > _OVERFLOW_ARG or _lowest(u) < -_OVERFLOW_ARG
 
 
 def _root(value, env, root):
@@ -346,11 +335,11 @@ _KERNELS = {
     "sin": _unary(np.sin),
     "cos": _unary(np.cos),
     "tan": _unary(np.tan),
-    "exp": _guarded("exp", np.exp, lambda u: _highest(u) > _OVERFLOW_ARG, "overflow"),
+    "exp": _unary(np.exp),
     "ln": _guarded("ln", np.log, lambda u: _lowest(u) <= 0.0, "argument not positive"),
     "sqrt": _guarded("sqrt", np.sqrt, lambda u: _lowest(u) < 0.0, "negative argument"),
-    "sinh": _guarded("sinh", np.sinh, _beyond_overflow, "overflow"),
-    "cosh": _guarded("cosh", np.cosh, _beyond_overflow, "overflow"),
+    "sinh": _unary(np.sinh),
+    "cosh": _unary(np.cosh),
     "root": _root,
 }
 
@@ -568,8 +557,8 @@ def _make(op: str, args: tuple = (), value=None) -> Expr:
     """
     if args and args[0].op == "const" and args[-1].op == "const":
         try:
-            # Python floats overflow to inf quietly, and the guarded kernels
-            # raise; only numpy's sin, cos and tan of an infinity warn
+            # Python floats overflow to inf quietly; numpy's exp, sinh and
+            # cosh warn when they overflow, and sin, cos and tan of an infinity
             with np.errstate(all="ignore") if op in _FUNCTIONS else nullcontext():
                 out = _KERNELS[op](args[0].value, args[-1].value, value)
         except EvalDomainError:

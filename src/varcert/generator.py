@@ -427,6 +427,9 @@ def sample_corpus(seed: int, count: int, a: float, b: float) -> list:
     counts as an attempt, and ``build`` draws nothing from the rng, so the
     returned triples are those the full screen alone selects.
     """
+    for name, value in (("count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an integer")
     if count < 1:
         raise ValueError("count must be >= 1")
     if seed < 0:

@@ -108,8 +108,6 @@ def _walk(e, env):
     if op == "tan":
         return np.tan(u)
     if op == "exp":
-        if np.any(u > 700.0):
-            raise EvalDomainError("exp", "overflow")
         return np.exp(u)
     if op == "ln":
         if np.any(u <= 0.0):
@@ -120,12 +118,8 @@ def _walk(e, env):
             raise EvalDomainError("sqrt", "negative argument")
         return np.sqrt(u)
     if op == "sinh":
-        if np.any(np.abs(u) > 700.0):
-            raise EvalDomainError("sinh", "overflow")
         return np.sinh(u)
     if op == "cosh":
-        if np.any(np.abs(u) > 700.0):
-            raise EvalDomainError("cosh", "overflow")
         return np.cosh(u)
     raise AssertionError(op)
 
@@ -906,13 +900,15 @@ def test_simplify_identities():
 
 
 def test_folds_raise_no_warning():
-    # Python floats overflow to inf quietly and the guarded kernels raise,
-    # so only the folds of numpy's functions need numpy's warnings silenced
+    # Python floats overflow to inf quietly, so only the folds of numpy's
+    # functions, which warn on an overflow or an infinity, need numpy's
+    # warnings silenced
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for op in ("sin", "cos", "tan"):
             assert _make(op, (const(math.inf),)) is Expr(op, (const(math.inf),))
-        assert _make("exp", (const(1000.0),)) is Expr("exp", (const(1000.0),))
+        for op, u in (("exp", 1000.0), ("sinh", -1000.0), ("cosh", 1000.0)):
+            assert _make(op, (const(u),)) is Expr(op, (const(u),))
         for op, left, right in (("add", 1e308, 1e308), ("sub", math.inf, math.inf),
                                 ("mul", 1e308, 10.0), ("div", 1e308, 1e-308)):
             node = Expr(op, (const(left), const(right)))
@@ -1011,21 +1007,22 @@ def test_evaluate_domain_errors():
             evaluate(parse(text), env)
 
 
-_GUARD_DETAIL = {"exp": "overflow", "ln": "argument not positive",
-                 "sqrt": "negative argument", "sinh": "overflow", "cosh": "overflow"}
+_GUARD_DETAIL = {"ln": "argument not positive", "sqrt": "negative argument"}
+_NUMPY = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh}
 _NAN = math.nan
 
 
 # a nan passes the guard and is left to the finiteness check; Python floats
-# are what constant folding hands the kernels
+# are what constant folding hands the kernels. exp, sinh and cosh have no
+# guard: out of the float range they give ±inf, which the root check judges.
 @pytest.mark.parametrize("op, u, raises", [
     ("exp", np.array([_NAN]), False),
-    ("exp", np.array([_NAN, 701.0]), True),
+    ("exp", np.array([_NAN, 711.0]), False),
     ("exp", np.array([]), False),
-    ("exp", 701.0, True),
+    ("exp", 711.0, False),
     ("exp", _NAN, False),
     ("exp", np.array([-math.inf, 0.5]), False),
-    ("exp", np.array([math.inf]), True),
+    ("exp", np.array([math.inf]), False),
     ("ln", np.array([_NAN]), False),
     ("ln", np.array([_NAN, -1.0]), True),
     ("ln", np.array([-0.0]), True),
@@ -1039,18 +1036,19 @@ _NAN = math.nan
     ("sqrt", np.array([]), False),
     ("sqrt", -1e-300, True),
     ("sqrt", _NAN, False),
-    ("sinh", np.array([_NAN, -701.0]), True),
-    ("sinh", np.array([-math.inf]), True),
+    ("sinh", np.array([_NAN, -711.0]), False),
+    ("sinh", np.array([-math.inf]), False),
     ("sinh", np.array([700.0, -700.0]), False),
-    ("cosh", np.array([_NAN, 701.0]), True),
+    ("cosh", np.array([_NAN, 711.0]), False),
     ("cosh", np.array([]), False),
     ("cosh", _NAN, False),
 ])
 def test_guarded_kernel_truth_table(op, u, raises):
     kernel = _KERNELS[op]
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
         if not raises:
-            kernel(u, None, None)
+            assert np.array_equal(bits(kernel(u, None, None)), bits(_NUMPY[op](u)))
             return
         with pytest.raises(EvalDomainError) as err:
             kernel(u, None, None)
@@ -1219,13 +1217,29 @@ def test_integer_power_keeps_the_bits_of_pow(n):
     assert eval_at(Expr("pow", (X,), n), -1.7) == (-1.7) ** n
 
 
-@pytest.mark.parametrize("text, x", [("x^3", 1e200), ("x^-3", 1e-110), ("x^4", -1e100)])
+@pytest.mark.parametrize("text, x", [("x^3", 1e200), ("x^-3", 1e-110), ("x^4", -1e100),
+                                     ("exp(x)", 800.0), ("2*exp(x)", 800.0),
+                                     ("sinh(x)", -800.0), ("cosh(x)", 1e4)])
 def test_power_overflows_alike_on_a_float_and_an_array(text, x):
-    # the power is inf either way, as the products it is built from are, and
-    # the finiteness check at the root decides
+    # a power, exp, sinh or cosh out of the float range is ±inf either way,
+    # as a power's products are, and only the finiteness check at the root
+    # decides, so the error names the root's op
+    e = parse(text)
     for env in ({"x": x}, {"x": np.array([x])}):
-        with pytest.raises(EvalDomainError, match="^domain error in 'pow': non-finite result$"):
-            evaluate(parse(text), env)
+        with pytest.raises(EvalDomainError, match=f"^domain error in '{e.op}': non-finite result$"):
+            evaluate(e, env)
+
+
+def test_exp_sinh_and_cosh_have_no_argument_cut_off():
+    # 705 is within float64's range for exp, and a reciprocal of an overflow
+    # is a signed zero
+    assert bits(eval_at(parse("exp(x)"), 705.0)) == bits(np.exp(705.0))
+    for text, x, want in (("1/exp(x)", 800.0, 0.0), ("1/sinh(x)", -800.0, -0.0)):
+        for env in ({"x": x}, {"x": np.array([x])}):
+            got = evaluate(parse(text), env)
+            assert np.array_equal(bits(got), bits(np.full(np.shape(env["x"]), want)))
+    assert simplify(parse("exp(705)")) == const(float(np.exp(705.0)))
+    assert simplify(parse("exp(800)")) == parse("exp(800)")
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 0.0])

@@ -63,8 +63,11 @@ DELETED = (
     "expr.Program._nodes",
     "expr.Program._sections",
     "expr.Program.sample",
+    "expr._OVERFLOW_ARG",
     "expr._PROGRAMS",
+    "expr._beyond_overflow",
     "expr._filled",
+    "expr._highest",
     "expr.as_expr",
     "expr.cos",
     "expr.cosh",
@@ -263,10 +266,23 @@ def test_result_records_hold_only_what_their_pass_computed():
      "seed must be an integer"),
     (lambda: varcert.PerturbationFamily(varcert.RANDOM_SPLINE, seed=False), TypeError,
      "seed must be an integer"),
+    (lambda: varcert.PerturbationFamily(varcert.SINE_BASIS, ladder="31"), TypeError,
+     "ladder must be a sequence of numbers"),
+    (lambda: varcert.PerturbationFamily(varcert.SINE_BASIS, ladder="0.1"), TypeError,
+     "ladder must be a sequence of numbers"),
+    (lambda: varcert.PerturbationFamily(varcert.SINE_BASIS, ladder=0.1), TypeError,
+     "ladder must be a sequence of numbers"),
+    (lambda: varcert.sample_corpus(0, True, 0.0, 0.6), TypeError, "count must be an integer"),
+    (lambda: varcert.sample_corpus(0, 2.0, 0.0, 0.6), TypeError, "count must be an integer"),
+    (lambda: varcert.sample_corpus(True, 1, 0.0, 0.6), TypeError, "seed must be an integer"),
+    (lambda: varcert.sample_corpus(0.5, 1, 0.0, 0.6), TypeError, "seed must be an integer"),
 ], ids=["Integrand", "Extremal", "GeneratorSpec.P", "GeneratorSpec.y0", "parse", "diff",
         "Expr.__delattr__", "PerturbationFamily.count-float", "PerturbationFamily.count-bool",
         "PerturbationFamily.seed-float-sine", "PerturbationFamily.seed-float-spline",
-        "PerturbationFamily.seed-bool"])
+        "PerturbationFamily.seed-bool", "PerturbationFamily.ladder-digits",
+        "PerturbationFamily.ladder-text", "PerturbationFamily.ladder-float",
+        "sample_corpus.count-bool", "sample_corpus.count-float", "sample_corpus.seed-bool",
+        "sample_corpus.seed-float"])
 def test_library_input_checks(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
