@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -10,6 +11,13 @@ import numpy as np
 
 _BOUNDARY_TOL = 1e-12
 DEFAULT_GRID_N = 512
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int: any integer type but bool, else a TypeError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -27,8 +35,9 @@ class Grid:
             raise ValueError("grid requires finite endpoints with a < b")
         if not math.isfinite(b - a):
             raise ValueError("grid length b - a overflows")
-        if not isinstance(self.n, int) or self.n < 2 or self.n % 2 != 0:
+        if not hasattr(self.n, "__index__") or self.n < 2 or self.n % 2 != 0:
             raise ValueError("grid size must be an even integer >= 2")
+        object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         nodes = self.nodes

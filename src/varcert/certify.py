@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .calculus import Grid, SampledPath, h1_norm_sq, integrate
+from .calculus import Grid, SampledPath, _integer, h1_norm_sq, integrate
 from .expr import EvalDomainError, Program
 from .variational import (
     Extremal,
@@ -183,13 +183,12 @@ def functional_value(f: Integrand, path: SampledPath,
 SINE_BASIS = "sine-basis"
 RANDOM_SPLINE = "random-spline"
 
-_DEFAULT_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 _SPLINE_KNOTS = 8  # interior knots of each random spline
 
 
 @dataclass(frozen=True)
 class PerturbationFamily:
-    """Zero-boundary test directions with unit C1 size and an epsilon ladder.
+    """Zero-boundary test directions with unit C1 size and one fixed epsilon ladder.
 
     ``count`` is the number of sine modes or of random splines; splines are
     clamped cubics through ``_SPLINE_KNOTS`` interior knots with values
@@ -199,28 +198,17 @@ class PerturbationFamily:
     kind: str
     count: int = 8
     seed: int = 0
-    ladder: tuple = _DEFAULT_LADDER
+    ladder: ClassVar[tuple] = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
     def __post_init__(self):
         if self.kind not in (SINE_BASIS, RANDOM_SPLINE):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        for name, value in (("count", self.count), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer")
+        for name in ("count", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if isinstance(self.ladder, (str, bytes)) or not hasattr(self.ladder, "__iter__"):
-            raise TypeError("ladder must be a sequence of numbers")
-        ladder = tuple(float(t) for t in self.ladder)
-        if not all(map(math.isfinite, ladder)):
-            raise ValueError("ladder entries must be finite")
-        if not ladder or any(t <= 0.0 for t in ladder):
-            raise ValueError("ladder entries must be positive")
-        if any(hi <= lo for hi, lo in zip(ladder, ladder[1:])):
-            raise ValueError("ladder must be strictly decreasing")
-        object.__setattr__(self, "ladder", ladder)
 
     def paths(self, grid: Grid):
         """The (label, SampledPath) perturbations in a fixed order.

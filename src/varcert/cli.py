@@ -246,13 +246,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _parse_ladder(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError("--ladder expects comma-separated numbers")
-
-
 def cmd_verify(args) -> int:
     problem, f, y0, grid, el_tol = _load_problem(args)
     cert = certify(f, y0, grid, el_tol=el_tol)
@@ -264,12 +257,9 @@ def cmd_verify(args) -> int:
             "is nothing to verify empirically.")
         _emit(report)
         return EXIT_PRECONDITION
-    kwargs = {"seed": args.seed}
-    if args.ladder is not None:
-        kwargs["ladder"] = _parse_ladder(args.ladder)
     families = (
-        PerturbationFamily(SINE_BASIS, count=args.modes, **kwargs),
-        PerturbationFamily(RANDOM_SPLINE, count=4, **kwargs),
+        PerturbationFamily(SINE_BASIS, count=args.modes, seed=args.seed),
+        PerturbationFamily(RANDOM_SPLINE, count=4, seed=args.seed),
     )
     results = [empirical_verify(f, y0, cert, fam, grid) for fam in families]
     checks = []
@@ -365,8 +355,7 @@ def cmd_generate(args) -> int:
     grid = Grid(spec.a, spec.b, _resolve_grid_n(args.grid_n, None))
     cert = certify(integrand, extremal, grid)
     warnings = []
-    rho_zz = diff(diff(spec.rho, "z"), "z")
-    if rho_zz not in _ZEROS:
+    if diff(integrand.f_zz, "z") not in _ZEROS:
         warnings.append(
             "rho adds slope dependence beyond the quadratic term; the "
             "certificate below still decides the built problem numerically.")
@@ -436,8 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--modes", type=int, default=8,
                        help="number of sine directions")
-    p_ver.add_argument("--ladder", default=None,
-                       help="comma-separated decreasing scale ladder")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

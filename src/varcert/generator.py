@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .calculus import Grid
+from .calculus import Grid, _integer
 from .certify import MINIMUM_KINDS, VerdictKind, certify, length_bound
 from .expr import (
     ONE,
@@ -427,9 +427,7 @@ def sample_corpus(seed: int, count: int, a: float, b: float) -> list:
     counts as an attempt, and ``build`` draws nothing from the rng, so the
     returned triples are those the full screen alone selects.
     """
-    for name, value in (("count", count), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an integer")
+    count, seed = _integer("count", count), _integer("seed", seed)
     if count < 1:
         raise ValueError("count must be >= 1")
     if seed < 0:

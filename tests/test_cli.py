@@ -5,13 +5,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from varcert import cli
+from varcert import SINE_BASIS, PerturbationFamily, cli
 from varcert.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -385,13 +386,6 @@ def test_verify_without_coefficient_exits_three(tmp_path, capsys):
     assert json.loads(out)["empirical"] is None
 
 
-def test_verify_custom_ladder(tmp_path, capsys):
-    path = _problem(tmp_path, integrand="0.5*z^2")
-    code, out, _ = _run(capsys, ["verify", path, "--ladder", "1e-2,1e-3", "--modes", "2"])
-    assert code == EXIT_OK
-    assert json.loads(out)["empirical"]["ladder"] == [1e-2, 1e-3]
-
-
 def test_verify_too_many_modes_is_one_error_line(tmp_path, capsys):
     # 512 cells hold at most 256 sine modes; a larger count is refused before
     # any direction is built, however large
@@ -400,7 +394,7 @@ def test_verify_too_many_modes_is_one_error_line(tmp_path, capsys):
                "(two cells per half-wave), got 100000000000000000000\n")
     assert (_run(capsys, ["verify", path, "--modes", "100000000000000000000"])
             == (EXIT_ERROR, "", message))
-    code, out, _ = _run(capsys, ["verify", path, "--modes", "256", "--ladder", "1e-2"])
+    code, out, _ = _run(capsys, ["verify", path, "--modes", "256"])
     assert code == EXIT_OK
     assert json.loads(out)["empirical"]["checks"][255]["label"] == "sine-256"
 
@@ -450,12 +444,21 @@ def test_verify_bad_ladder_exits_one(tmp_path, capsys):
     assert code == EXIT_ERROR and err != ""
 
 
-@pytest.mark.parametrize("ladder", ["nan", "1e-2,inf", "1e-2,-inf"])
-def test_verify_non_finite_ladder_exits_one(tmp_path, capsys, ladder):
+def test_verify_probes_one_fixed_ladder(tmp_path, capsys):
+    # the ladder is a class constant, not a field or a flag
+    assert [field.name for field in dataclasses.fields(PerturbationFamily)] == [
+        "kind", "count", "seed"]
+    with pytest.raises(TypeError):
+        PerturbationFamily(SINE_BASIS, ladder=(0.1,))
     path = _problem(tmp_path)
-    code, out, err = _run(capsys, ["verify", path, "--ladder", ladder])
-    assert code == EXIT_ERROR and out == ""
-    assert err == "error: ladder entries must be finite\n"
+    code, out, _ = _run(capsys, ["verify", path, "--ladder", "1e-2"])
+    assert (code, out) == (EXIT_ERROR, "")
+    ladder = PerturbationFamily.ladder
+    assert all(map(math.isfinite, ladder)) and min(ladder) > 0.0
+    assert all(hi > lo for hi, lo in zip(ladder, ladder[1:]))
+    code, out, _ = _run(capsys, ["verify", path])
+    assert code == EXIT_OK
+    assert json.loads(out)["empirical"]["ladder"] == list(ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +541,16 @@ def test_generate_table_provenance(tmp_path, capsys):
     assert provenance["fit_error"] < 1e-8 * 3
 
 
-def test_generate_superlinear_rho_warns(tmp_path, capsys):
-    path = _genspec(tmp_path, rho="z^2")
+@pytest.mark.parametrize("rho, warns", [
+    # rho multiplies z^2, so any z in rho makes f more than quadratic in z
+    ("y*z", True), ("0.1*sin(y)*z", True), ("z^2", True),
+    ("0", False), ("y", False), ("y^2", False),
+])
+def test_generate_superlinear_rho_warns(tmp_path, capsys, rho, warns):
+    path = _genspec(tmp_path, rho=rho)
     code, out, _ = _run(capsys, ["generate", path])
     assert code == EXIT_OK
-    assert len(json.loads(out)["warnings"]) == 1
+    assert len(json.loads(out)["warnings"]) == warns
 
 
 def test_generate_nonpositive_pfun_exits_three(tmp_path, capsys):
@@ -642,8 +650,8 @@ _PINNED_INPUTS = {
      "4a6b903e2f84f27313a686e8fd6d4429af243801f382d6fb507173907cd410b7"),
     (["compare", "p3"], EXIT_OK, 315,
      "4723c02ddfc9e01c71009afc2594792df4a6fed42457e34d3a3ca60379d31d1d"),
-    (["generate", "g1"], EXIT_OK, 840,
-     "cf1fc57d8baf5dfa6654b90647fc280140dfc6619f1e42863d1b0c155dd98675"),
+    (["generate", "g1"], EXIT_OK, 961,
+     "bfb3edec89c24cf5c1ae9c33540a4ff45fc51bf5dbc032b73907508a095d75e3"),
     # at n = 65536 the prefix product groups the most steps differently from
     # a step-by-step march
     (["compare", "p1", "--grid-n", "65536"], EXIT_OK, 326,
@@ -668,6 +676,21 @@ def test_generate_requires_exactly_one_source(tmp_path, capsys):
     path = _genspec(tmp_path, P="x*y")
     code, _, err = _run(capsys, ["generate", path, "--corpus", "0", "2"])
     assert code == EXIT_ERROR and err != ""
+
+
+def test_readme_usage_lists_every_flag():
+    # each "varcert <cmd>" line of README's usage block names exactly the
+    # options of that subcommand's parser
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                  for line in block.splitlines() if line.startswith("varcert ")}
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if action.choices is not None and "verify" in action.choices)
+    options = {name: {option for action in sub._actions for option in action.option_strings
+                      if option not in ("-h", "--help")}
+               for name, sub in subparsers.choices.items()}
+    assert len(documented) == 4 and documented == options
 
 
 # ---------------------------------------------------------------------------

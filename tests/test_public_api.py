@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import varcert
@@ -248,7 +249,7 @@ def test_result_records_hold_only_what_their_pass_computed():
         assert [field.name for field in dataclasses.fields(record)] == names, record.__name__
 
 
-@pytest.mark.parametrize("build, error, message", [
+@pytest.mark.parametrize("build, error, expected", [
     (lambda: varcert.Integrand("z^2"), TypeError, "integrand must wrap an Expr"),
     (lambda: varcert.Extremal("x", 0, 1), TypeError, "candidate path must be an Expr"),
     (lambda: varcert.GeneratorSpec(P="x*y"), TypeError, "P must be an Expr"),
@@ -266,25 +267,31 @@ def test_result_records_hold_only_what_their_pass_computed():
      "seed must be an integer"),
     (lambda: varcert.PerturbationFamily(varcert.RANDOM_SPLINE, seed=False), TypeError,
      "seed must be an integer"),
-    (lambda: varcert.PerturbationFamily(varcert.SINE_BASIS, ladder="31"), TypeError,
-     "ladder must be a sequence of numbers"),
-    (lambda: varcert.PerturbationFamily(varcert.SINE_BASIS, ladder="0.1"), TypeError,
-     "ladder must be a sequence of numbers"),
-    (lambda: varcert.PerturbationFamily(varcert.SINE_BASIS, ladder=0.1), TypeError,
-     "ladder must be a sequence of numbers"),
+    # a numpy integer is an integer: taken, and kept as a Python int
+    (lambda: varcert.PerturbationFamily(varcert.SINE_BASIS, count=np.int64(3)).count, None, 3),
+    (lambda: varcert.PerturbationFamily(varcert.SINE_BASIS, seed=np.int64(5)).seed, None, 5),
     (lambda: varcert.sample_corpus(0, True, 0.0, 0.6), TypeError, "count must be an integer"),
     (lambda: varcert.sample_corpus(0, 2.0, 0.0, 0.6), TypeError, "count must be an integer"),
     (lambda: varcert.sample_corpus(True, 1, 0.0, 0.6), TypeError, "seed must be an integer"),
     (lambda: varcert.sample_corpus(0.5, 1, 0.0, 0.6), TypeError, "seed must be an integer"),
+    (lambda: len(varcert.sample_corpus(np.int64(0), np.int64(1), 0.0, 0.6)), None, 1),
+    (lambda: varcert.Grid(0.0, 1.0, True), ValueError, "grid size must be an even integer >= 2"),
+    (lambda: varcert.Grid(0.0, 1.0, 16.0), ValueError, "grid size must be an even integer >= 2"),
+    (lambda: varcert.Grid(0.0, 1.0, np.int64(16)).n, None, 16),
 ], ids=["Integrand", "Extremal", "GeneratorSpec.P", "GeneratorSpec.y0", "parse", "diff",
         "Expr.__delattr__", "PerturbationFamily.count-float", "PerturbationFamily.count-bool",
         "PerturbationFamily.seed-float-sine", "PerturbationFamily.seed-float-spline",
-        "PerturbationFamily.seed-bool", "PerturbationFamily.ladder-digits",
-        "PerturbationFamily.ladder-text", "PerturbationFamily.ladder-float",
-        "sample_corpus.count-bool", "sample_corpus.count-float", "sample_corpus.seed-bool",
-        "sample_corpus.seed-float"])
-def test_library_input_checks(build, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        "PerturbationFamily.seed-bool", "PerturbationFamily.count-int64",
+        "PerturbationFamily.seed-int64", "sample_corpus.count-bool", "sample_corpus.count-float",
+        "sample_corpus.seed-bool", "sample_corpus.seed-float", "sample_corpus.int64",
+        "Grid.n-bool", "Grid.n-float", "Grid.n-int64"])
+def test_library_input_checks(build, error, expected):
+    # expected is the error message, or with no error the value build returns
+    if error is None:
+        got = build()
+        assert (type(got), got) == (int, expected)
+        return
+    with pytest.raises(error, match=f"^{re.escape(expected)}$"):
         build()
 
 
