@@ -1,6 +1,8 @@
 """Certified local-minimality checks for one-dimensional integral functionals.
 
-The package decides strong local minimality of a stationary path from an
+The package decides weak local minimality of a stationary path (against
+competitors close in value and in slope; strong, against competitors close
+in value alone, when f is at most quadratic in the slope) from an
 interval-length criterion on the second-order coefficients along the path,
 returns an explicit quadratic growth constant when it certifies, and ships a
 classical conjugate-point computation for cross-validation plus a generator

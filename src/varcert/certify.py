@@ -21,7 +21,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .calculus import Grid, SampledPath, _integer, h1_norm_sq, integrate
-from .expr import EvalDomainError, Program
+from .expr import _ZEROS, EvalDomainError, Program, diff
 from .variational import (
     Extremal,
     Integrand,
@@ -122,6 +122,12 @@ def quad_coefficient(p_min: float, q_min: float, a: float, b: float) -> Optional
     if not _within_length(p_min, q_min, length):
         return None
     return (pi_sq * p_min - 16.0 * length * length * abs(q_min)) / denom
+
+
+def quadratic_in_slope(f: Integrand) -> bool:
+    """Whether f_zz is free of z. Then p > 0 gives the Weierstrass condition
+    near the path, so a certified minimum is strong, not only weak."""
+    return diff(f.f_zz, "z") in _ZEROS
 
 
 @dataclass(frozen=True)

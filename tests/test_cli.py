@@ -10,9 +10,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from varcert import SINE_BASIS, PerturbationFamily, cli
+from varcert import (
+    SINE_BASIS,
+    Grid,
+    Integrand,
+    PerturbationFamily,
+    SampledPath,
+    cli,
+    functional_value,
+)
 from varcert.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -52,6 +61,8 @@ def test_certify_minimum_exits_zero(tmp_path, capsys):
     assert report["length_bound"] == pytest.approx(math.pi / 4.0)
     assert report["quad_coefficient"] > 0.0
     assert report["problem"]["extremal"] == "0"
+    # f is quadratic in z, so the minimum is strong
+    assert report["note"].startswith("Strong local minimum certified")
 
 
 def test_certify_inconclusive_exits_two(tmp_path, capsys):
@@ -77,6 +88,34 @@ def test_certify_non_extremal_exits_three(tmp_path, capsys):
     code, out, _ = _run(capsys, ["certify", path])
     assert code == EXIT_PRECONDITION
     assert json.loads(out)["verdict"] == "EulerLagrangeFailed"
+
+
+def test_certify_cubic_slope_claims_only_a_weak_minimum(tmp_path, capsys):
+    # int (y')^3 along y = x is a weak minimum but not a strong one
+    path = _problem(tmp_path, integrand="z^3", interval={"a": 0, "b": 1}, extremal="x")
+    code, out, _ = _run(capsys, ["certify", path])
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (EXIT_OK, "MinimumUnconditional")
+    assert report["note"].startswith("Weak local minimum")
+    assert "Strong" not in report["note"]
+    # a sawtooth competitor, sup-close but steep, has a lower value: 1024
+    # teeth, slope -10 on each tooth's first eighth and +10/7 on the rest;
+    # each tooth spans 16 cells, so every kink sits on an even node, and a
+    # slope sample is the slope to its right, of the next tooth at x = 1
+    f = Integrand.from_text("z^3")
+    grid = Grid(0.0, 1.0, 16384)
+    xs = grid.nodes
+    phase = (xs * 1024.0) % 1.0
+    steep = phase < 0.125
+    eta = np.where(steep, -10.0 * phase, -1.25 + (10.0 / 7.0) * (phase - 0.125)) / 1024.0
+    slope = np.where(steep, -10.0, 10.0 / 7.0)
+    assert np.max(np.abs(eta)) < 2e-3
+    base = functional_value(f, SampledPath(grid, xs, np.ones_like(xs)))
+    competitor = functional_value(f, SampledPath(grid, xs + eta, 1.0 + slope))
+    assert base == pytest.approx(1.0, rel=1e-12)
+    # (1/8)(1 - 10)^3 + (7/8)(1 + 10/7)^3, exact: f is constant on each Simpson panel
+    assert competitor == pytest.approx(-729.0 / 8.0 + 4913.0 / 392.0, rel=1e-9)
+    assert competitor < base
 
 
 def test_certify_reports_are_byte_identical(tmp_path, capsys):
@@ -368,12 +407,12 @@ def test_plot_data_columns(tmp_path, capsys):
 
 def test_verify_pass_exits_zero(tmp_path, capsys):
     path = _problem(tmp_path, integrand="y^2+0.5*z^2", interval={"a": 0.0, "b": 1.0})
-    code, out, err = _run(capsys, ["verify", path, "--modes", "4"])
+    code, out, err = _run(capsys, ["verify", path])
     assert code == EXIT_OK and err == ""
     report = json.loads(out)
     empirical = report["empirical"]
     assert empirical["passed"] is True
-    assert len(empirical["checks"]) == 4 + 4  # sine modes + splines
+    assert len(empirical["checks"]) == 8 + 4  # sine modes + splines
     for check in empirical["checks"]:
         assert check["threshold"] == pytest.approx(0.1)
         assert len(check["margins"]) == 5
@@ -387,16 +426,23 @@ def test_verify_without_coefficient_exits_three(tmp_path, capsys):
 
 
 def test_verify_too_many_modes_is_one_error_line(tmp_path, capsys):
-    # 512 cells hold at most 256 sine modes; a larger count is refused before
-    # any direction is built, however large
+    # verify probes 8 sine modes, and 8 cells hold at most 4; the library
+    # bound has its own test in test_certify.py
     path = _problem(tmp_path)
-    message = ("error: count must be <= grid.n // 2 = 256 for sine modes "
-               "(two cells per half-wave), got 100000000000000000000\n")
-    assert (_run(capsys, ["verify", path, "--modes", "100000000000000000000"])
-            == (EXIT_ERROR, "", message))
-    code, out, _ = _run(capsys, ["verify", path, "--modes", "256"])
+    message = ("error: count must be <= grid.n // 2 = 4 for sine modes "
+               "(two cells per half-wave), got 8\n")
+    assert _run(capsys, ["verify", path, "--grid-n", "8"]) == (EXIT_ERROR, "", message)
+    code, out, _ = _run(capsys, ["verify", path, "--grid-n", "16"])
     assert code == EXIT_OK
-    assert json.loads(out)["empirical"]["checks"][255]["label"] == "sine-256"
+    assert json.loads(out)["empirical"]["checks"][7]["label"] == "sine-8"
+
+
+@pytest.mark.parametrize("option", [["--modes", "4"], ["--seed", "1"]])
+def test_verify_probe_set_is_fixed(tmp_path, capsys, option):
+    # verify probes acceptance claim 6's directions; neither count nor seed is a flag
+    code, out, err = _run(capsys, ["verify", _problem(tmp_path), *option])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 def test_verify_quadrature_overflow_is_one_error_line(tmp_path, capsys):
@@ -480,7 +526,6 @@ def test_generate_from_spec(tmp_path, capsys):
     assert report["provenance"]["a_path"] == "symbolic"
     assert report["certificate"]["verdict"] in ("MinimumUnconditional",
                                                 "MinimumUnderLength")
-    assert report["warnings"] == []
     # the emitted problem is consumable by certify
     problem = tmp_path / "roundtrip.json"
     problem.write_text(json.dumps({
@@ -547,10 +592,16 @@ def test_generate_table_provenance(tmp_path, capsys):
     ("0", False), ("y", False), ("y^2", False),
 ])
 def test_generate_superlinear_rho_warns(tmp_path, capsys, rho, warns):
+    # the certificate's note claims only a weak minimum, and says why
     path = _genspec(tmp_path, rho=rho)
     code, out, _ = _run(capsys, ["generate", path])
     assert code == EXIT_OK
-    assert len(json.loads(out)["warnings"]) == warns
+    report = json.loads(out)
+    assert "warnings" not in report
+    note = report["certificate"]["note"]
+    assert note.startswith("Weak local minimum (f is more than quadratic in the slope, "
+                           "so only competitors close in value and in slope are covered)"
+                           if warns else "Strong local minimum")
 
 
 def test_generate_nonpositive_pfun_exits_three(tmp_path, capsys):
@@ -607,9 +658,8 @@ def test_generate_corpus_deterministic(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("argv", [["generate", "--corpus", "-1", "1"], ["verify", None, "--seed", "-1"]])
-def test_negative_seed_is_named(tmp_path, capsys, argv):
-    argv = [arg if arg is not None else _problem(tmp_path) for arg in argv]
+@pytest.mark.parametrize("argv", [["generate", "--corpus", "-1", "1"]])
+def test_negative_seed_is_named(capsys, argv):
     assert _run(capsys, argv) == (EXIT_ERROR, "", "error: seed must be >= 0\n")
 
 
@@ -650,8 +700,9 @@ _PINNED_INPUTS = {
      "4a6b903e2f84f27313a686e8fd6d4429af243801f382d6fb507173907cd410b7"),
     (["compare", "p3"], EXIT_OK, 315,
      "4723c02ddfc9e01c71009afc2594792df4a6fed42457e34d3a3ca60379d31d1d"),
-    (["generate", "g1"], EXIT_OK, 961,
-     "bfb3edec89c24cf5c1ae9c33540a4ff45fc51bf5dbc032b73907508a095d75e3"),
+    # rho = y*z makes g1's integrand cubic in z, so its note claims a weak minimum
+    (["generate", "g1"], EXIT_OK, 923,
+     "e8fbe1e0d9b1bea0412bdc3216689e33e86c1038942d16e297c1141877434642"),
     # at n = 65536 the prefix product groups the most steps differently from
     # a step-by-step march
     (["compare", "p1", "--grid-n", "65536"], EXIT_OK, 326,

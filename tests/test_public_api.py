@@ -479,3 +479,27 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
                             text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
+
+
+def test_readme_python_blocks_hold_the_values_their_comments_state():
+    # each ```python block of README runs as written; on a line
+    # "expression  # value: words" the comment up to its first ": " is a
+    # Python expression for the value the expression has
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    stated = 0
+    for block in blocks:
+        namespace = {}
+        exec(block, namespace)
+        for line in block.splitlines():
+            code, commented, comment = line.partition("#")
+            if not (commented and code.strip()):
+                continue
+            got = eval(code, namespace)
+            want = eval(comment.split(": ", 1)[0], {**vars(varcert), **namespace})
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), line
+            else:
+                assert got == pytest.approx(want, rel=1e-9), line
+            stated += 1
+    assert (len(blocks), stated) == (2, 4)
