@@ -77,7 +77,7 @@ _NOTES = {
     ),
 }
 
-# verify's directions, acceptance claim 6's; 8 sine modes need 16 cells
+# verify's directions, acceptance claim 6's, the sine modes first
 _PROBES = (PerturbationFamily(SINE_BASIS, count=8),
            PerturbationFamily(RANDOM_SPLINE, count=4))
 
@@ -261,13 +261,15 @@ def cmd_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     problem, f, y0, grid, el_tol = _load_problem(args)
+    # each sine mode spans at least two cells per half-wave
+    cells = 2 * _PROBES[0].count
+    if grid.n < cells:
+        raise ValueError(f"verify needs a grid of at least {cells} cells, got {grid.n}")
     cert = certify(f, y0, grid, el_tol=el_tol)
     report = _certificate_report(args, problem, f, cert, grid)
     if cert.quad_coefficient is None:
+        # no growth constant to probe; the certificate's note says why
         report["empirical"] = None
-        report["note"] = (
-            "No quadratic coefficient accompanies this verdict, so there "
-            "is nothing to verify empirically.")
         _emit(report)
         return EXIT_PRECONDITION
     ladder = list(PerturbationFamily.ladder)
@@ -283,12 +285,12 @@ def cmd_verify(args) -> int:
         "ladder": ladder,
         "checks": checks,
         "passed": passed,
+        "note": (
+            "Observed growth dominates the certified quadratic model for every "
+            "perturbation from its threshold downward." if passed else
+            "At least one perturbation shows less growth than the certified "
+            "quadratic model at every rung; inspect the margins."),
     }
-    report["note"] = (
-        "Observed growth dominates the certified quadratic model for every "
-        "perturbation from its threshold downward." if passed else
-        "At least one perturbation shows less growth than the certified "
-        "quadratic model at every rung; inspect the margins.")
     _emit(report)
     return EXIT_OK if passed else EXIT_PRECONDITION
 

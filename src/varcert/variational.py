@@ -171,17 +171,31 @@ _ALONG = weakref.WeakKeyDictionary()
 def _along(f: Integrand, y0: Extremal, residual: bool) -> Program:
     """The program in x of y0, y0', y0'' and f's partials, r's if ``residual``,
     then p's and q's, with y -> y0(x) and z -> y0'(x) composed node for node
-    in one walk, folding nothing, so each term evaluates as it does with y
-    and z bound to the path's samples."""
+    in one walk, so each term evaluates as it does with y and z bound to the
+    path's samples.
+
+    One fold is made: A - A is the constant 0.0 when A is y0, y0' or y0'',
+    as in the y - y0(x) and z - y0'(x) of a problem recentred on its path.
+    The path's three roots run, and the root rule checks them finite, before
+    any partial's node, so wherever the program completes A - A is +0.0 at
+    every point; and every kernel gives the same bits, and raises the same
+    error, for a float +0.0 as for an array of them. Every other node is
+    built unfolded.
+    """
     programs = _ALONG.setdefault(f.f, weakref.WeakKeyDictionary()).setdefault(y0, {})
     if residual not in programs:
         partials = (f.f_y, f.f_xz, f.f_yz) if residual else ()
         partials += (f.f_zz, f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz)
+        path = (y0.y0, y0.y0p, y0.y0pp)
         composed = {Y: y0.y0, Z: y0.y0p}
         for root in partials:
             for node in () if root in composed else _postorder(root, composed.__contains__):
-                composed[node] = Expr(node.op, tuple(map(composed.get, node.args)), node.value)
-        programs[residual] = Program((y0.y0, y0.y0p, y0.y0pp, *map(composed.get, partials)))
+                args = tuple(map(composed.get, node.args))
+                if node.op == "sub" and args[0] is args[1] and args[0] in path:
+                    composed[node] = ZERO
+                else:
+                    composed[node] = Expr(node.op, args, node.value)
+        programs[residual] = Program((*path, *map(composed.get, partials)))
     return programs[residual]
 
 

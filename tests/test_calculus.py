@@ -1,6 +1,10 @@
 """Quadrature, Sobolev norms, and the zero-boundary inequality margin."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,28 @@ def test_overflowing_sums_raise():
     grid = Grid(0.0, 4.0, 4)
     with pytest.raises(ValueError, match="^integral overflowed$"):
         integrate(np.full(5, 1e308), grid)
+
+
+def test_integrals_do_not_depend_on_the_blas_thread_count():
+    # a dot product of 65537 samples is long enough for OpenBLAS to split
+    # over its threads, which would group the sum by the core count
+    code = ("import numpy as np\n"
+            "from varcert import Grid, integrate\n"
+            "rng = np.random.default_rng(5)\n"
+            "grid = Grid(0.0, 1.0, 65536)\n"
+            "for _ in range(20):\n"
+            "    print(integrate(rng.standard_normal(65537), grid).hex())\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        printed.append(result.stdout)
+    assert len(printed[0].split()) == 20
+    assert printed[0] == printed[1]
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,13 @@ def test_certify_non_extremal_exits_three(tmp_path, capsys):
 def test_certify_cubic_slope_claims_only_a_weak_minimum(tmp_path, capsys):
     # int (y')^3 along y = x is a weak minimum but not a strong one
     path = _problem(tmp_path, integrand="z^3", interval={"a": 0, "b": 1}, extremal="x")
-    code, out, _ = _run(capsys, ["certify", path])
-    report = json.loads(out)
-    assert (code, report["verdict"]) == (EXIT_OK, "MinimumUnconditional")
-    assert report["note"].startswith("Weak local minimum")
-    assert "Strong" not in report["note"]
+    # verify's probes are small in slope too, so its report keeps the claim
+    for command in ("certify", "verify"):
+        code, out, _ = _run(capsys, [command, path])
+        report = json.loads(out)
+        assert (code, report["verdict"]) == (EXIT_OK, "MinimumUnconditional")
+        assert report["note"].startswith("Weak local minimum")
+        assert "Strong" not in report["note"]
     # a sawtooth competitor, sup-close but steep, has a lower value: 1024
     # teeth, slope -10 on each tooth's first eighth and +10/7 on the rest;
     # each tooth spans 16 cells, so every kink sits on an even node, and a
@@ -410,8 +412,10 @@ def test_verify_pass_exits_zero(tmp_path, capsys):
     code, out, err = _run(capsys, ["verify", path])
     assert code == EXIT_OK and err == ""
     report = json.loads(out)
+    assert report["note"].startswith("Strong local minimum certified")
     empirical = report["empirical"]
     assert empirical["passed"] is True
+    assert empirical["note"].startswith("Observed growth dominates")
     assert len(empirical["checks"]) == 8 + 4  # sine modes + splines
     for check in empirical["checks"]:
         assert check["threshold"] == pytest.approx(0.1)
@@ -422,15 +426,16 @@ def test_verify_without_coefficient_exits_three(tmp_path, capsys):
     path = _problem(tmp_path, interval={"a": 0.0, "b": 4.0})
     code, out, _ = _run(capsys, ["verify", path])
     assert code == EXIT_PRECONDITION
-    assert json.loads(out)["empirical"] is None
+    report = json.loads(out)
+    assert report["empirical"] is None
+    assert report["note"].startswith("The sufficient test is silent")
 
 
 def test_verify_too_many_modes_is_one_error_line(tmp_path, capsys):
     # verify probes 8 sine modes, and 8 cells hold at most 4; the library
     # bound has its own test in test_certify.py
     path = _problem(tmp_path)
-    message = ("error: count must be <= grid.n // 2 = 4 for sine modes "
-               "(two cells per half-wave), got 8\n")
+    message = "error: verify needs a grid of at least 16 cells, got 8\n"
     assert _run(capsys, ["verify", path, "--grid-n", "8"]) == (EXIT_ERROR, "", message)
     code, out, _ = _run(capsys, ["verify", path, "--grid-n", "16"])
     assert code == EXIT_OK
@@ -481,7 +486,8 @@ def test_verify_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert report["quad_coefficient"] == 10.0
     assert report["empirical"]["passed"] is False
     assert [check["threshold"] for check in report["empirical"]["checks"]] == [None] * 12
-    assert report["note"].startswith("At least one perturbation shows less growth")
+    assert report["note"].startswith("Strong local minimum certified")
+    assert report["empirical"]["note"].startswith("At least one perturbation shows less growth")
 
 
 def test_verify_bad_ladder_exits_one(tmp_path, capsys):

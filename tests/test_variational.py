@@ -11,17 +11,21 @@ import hypothesis.strategies as st
 
 from varcert import (
     EvalDomainError,
+    Expr,
     Extremal,
+    GeneratorSpec,
     Grid,
     Integrand,
+    build,
     certify,
+    diff,
     evaluate,
     parse,
     shift,
     unparse,
 )
 from varcert import expr, variational
-from varcert.expr import CHUNK, X, Program, substitute
+from varcert.expr import CHUNK, X, Y, Z, Program, substitute
 from varcert.variational import (
     certify_samples,
     coefficient_samples,
@@ -216,6 +220,34 @@ def test_samplers_equal_the_path_then_partials_sequence(e, path, n):
                 assert str(err.value) == str(expected)
                 continue
             assert np.array_equal(bits(sampler(f, y0, xs)), bits(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_integrands, _random_paths, st.sampled_from([16, 2 * CHUNK + 2]))
+# each integrand is recentred on the path beside it; with y - x composed to
+# the constant 0.0, ln and a negative power must fail as over an array of zeros
+@example(parse("z^2*ln(y)"), parse("x"), 16)
+@example(parse("z^2+y^-1"), parse("x"), 2 * CHUNK + 2)
+# a path that overflows fails before any partial runs
+@example(parse("z^2+y^3"), parse("exp(800*x)"), 16)
+# along a constant path, y - 1 is 1 - 1 and z is not recentred
+@example(parse("z^2+y^3"), parse("1"), 16)
+def test_samplers_equal_the_sequence_on_recentred_integrands(e, path, n):
+    # y - y0(x) and z - y0'(x) compose to the constant 0.0 along y0
+    recentred = substitute(e, {"y": Expr("sub", (Y, path)),
+                               "z": Expr("sub", (Z, diff(path, "x")))})
+    test_samplers_equal_the_path_then_partials_sequence.hypothesis.inner_test(recentred, path, n)
+
+
+def test_recentred_differences_compose_to_zero():
+    # g1's integrand is recentred on x*(1-x), so without the fold its
+    # program computes y0 - y0 and y0' - y0' over the whole grid
+    y0 = Extremal.from_text("x*(1-x)", 0.0, 0.5)
+    f, _ = build(GeneratorSpec(P=parse("x*y+y^2"), qfun=parse("x*y"), pfun=parse("1+x^2"),
+                               rho=parse("y*z"), a=0.0, b=0.5, y0=y0))
+    sub = expr._KERNELS["sub"]
+    code = variational._along(f, y0, True)._code
+    assert not [step for step in code if step[0] is sub and step[2] == step[3]]
 
 
 def test_compare_samples_where_the_residual_fails():
