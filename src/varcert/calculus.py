@@ -99,13 +99,14 @@ def integrate(values, grid: Grid) -> float:
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n + 1,):
         raise ValueError(f"expected {grid.n + 1} node values, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("node values must be finite")
     # einsum sums in numpy's own loop: np.dot hands a long product to BLAS,
     # which splits it over threads, so its rounding follows the core count
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(grid.h / 3.0 * np.einsum("i,i->", grid.simpson_weights, v))
     if not math.isfinite(total):
+        # the weights are positive, so a non-finite node makes the total so
+        if not np.all(np.isfinite(v)):
+            raise ValueError("node values must be finite")
         raise ValueError("integral overflowed")
     return total
 

@@ -305,19 +305,11 @@ def _lowest(u):
     return np.fmin.reduce(u, initial=math.inf)
 
 
-def _root(value, env, root):
-    # a root's value, which must be finite; over an env that holds arrays, a
-    # scalar (a constant, or a root in variables bound to floats) is filled
-    # to the shape of the first array in env
+def _root(value, _, root):
+    # a root's value, which must be finite; chunked, which assembles the
+    # values, fills a scalar one over arrays
     if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
         raise EvalDomainError(root.op, "non-finite result")
-    if isinstance(value, np.ndarray):
-        return value
-    for like in env.values():
-        if isinstance(like, np.ndarray):
-            out = np.empty_like(like)  # np.full_like(like, value), without its overhead
-            out.fill(value)
-            return out
     return value
 
 
@@ -350,11 +342,13 @@ class Program:
     Compiling walks the roots post-order, in root order, into one flat list
     of instructions: each distinct node once, and after each root's nodes a
     root instruction, ``_KERNELS["root"]``, which raises unless the root's
-    value is finite, then fills a scalar over an env that holds arrays and
-    writes the value to the root's own output register, never reused. Any
-    other register is reused once its value has had its last use. So a run
-    raises the error that evaluating the roots one after another over the
-    whole arrays raises.
+    value is finite and writes it to the root's own output register, never
+    reused. Any other register is reused once its value has had its last
+    use. So a run raises the error that evaluating the roots one after
+    another over the whole arrays raises. A run leaves a root that does not
+    depend on an array, such as a constant, a float; calling the program
+    assembles its values by ``chunked``, which fills such a root out to the
+    shape of the first array in the env.
 
     The nodes in ``given`` are not computed: like a variable, each is read
     from the environment, keyed by the node itself. A program keeps its
@@ -437,29 +431,38 @@ def chunked(fn, *args) -> tuple:
 
     When the array arguments are all 1-D of one length of at least 2 CHUNK,
     fn runs on aligned slices of them (other arguments pass unchanged) and
-    its results, arrays, are assembled from the slices. The last slice also
-    takes the remainder of fewer than CHUNK points, so no slice is shorter
-    than CHUNK. If a slice raises EvalDomainError, fn runs once over the
-    whole arrays, so the error raised is the one a single pass raises.
+    its results are assembled from the slices. The last slice also takes
+    the remainder of fewer than CHUNK points, so no slice is shorter than
+    CHUNK. If a slice raises EvalDomainError, fn runs once over the whole
+    arrays, so the error raised is the one a single pass raises.
+
+    Assembly is the one place a scalar result is filled: when any argument
+    is an array, each result that is not one comes back as an array shaped
+    like the first array argument, holding the scalar at every point.
     """
+    like = next((a for a in args if isinstance(a, np.ndarray)), None)
     shapes = {a.shape for a in args if isinstance(a, np.ndarray)}
-    if len(shapes) != 1:
-        return tuple(fn(*args))
-    (shape,) = shapes
-    if len(shape) != 1 or shape[0] < 2 * CHUNK:
-        return tuple(fn(*args))
-    n = shape[0]
-    out = None
-    try:
-        for start in range(0, n - CHUNK + 1, CHUNK):
-            stop = start + CHUNK if n - start >= 2 * CHUNK else n
-            values = fn(*(a[start:stop] if isinstance(a, np.ndarray) else a for a in args))
-            if out is None:
-                out = [np.empty(n, v.dtype) for v in values]
-            for whole, value in zip(out, values):
-                whole[start:stop] = value
-    except EvalDomainError:
-        return tuple(fn(*args))
+    if len(shapes) == 1 and like.ndim == 1 and len(like) >= 2 * CHUNK:
+        n = len(like)
+        out = None
+        try:
+            for start in range(0, n - CHUNK + 1, CHUNK):
+                stop = start + CHUNK if n - start >= 2 * CHUNK else n
+                values = fn(*(a[start:stop] if isinstance(a, np.ndarray) else a for a in args))
+                if out is None:
+                    out = [np.empty(n, v.dtype) if isinstance(v, np.ndarray)
+                           else np.empty_like(like) for v in values]
+                for whole, value in zip(out, values):
+                    whole[start:stop] = value
+            return tuple(out)
+        except EvalDomainError:
+            pass  # one pass over the whole arrays, below, raises the error
+    out = list(fn(*args))
+    if like is not None:
+        for i, value in enumerate(out):
+            if not isinstance(value, np.ndarray):
+                out[i] = np.empty_like(like)  # np.full_like(like, value), without its overhead
+                out[i].fill(value)
     return tuple(out)
 
 

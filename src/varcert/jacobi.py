@@ -118,7 +118,7 @@ def _march(h: float, p_nodes: np.ndarray, q_nodes: np.ndarray,
     # every step to rounding, an error that grows like n eps
     a, c = increment(1.0, 0.0)
     b, d = increment(0.0, 1.0)
-    _, b, _, d = _prefix_products((a, b, c, d))
+    b, d = _prefix_products((a, b, c, d))
     # the initial state (0, p(a)) picks the second column
     p_a = p_nodes[0]
     return np.concatenate(([0.0], b * p_a)), np.concatenate(([p_a], p_a + d * p_a))
@@ -139,8 +139,9 @@ def _compose(x, y, out) -> None:
 
 
 def _prefix_products(steps) -> np.ndarray:
-    """Entries of M_i ... M_0 - I for every i, from the entries (a, b, c, d)
-    of M_i - I, four arrays of length n >= 1; a (4, n) array."""
+    """The second column, entries b and d, of M_i ... M_0 - I for every i,
+    from the entries (a, b, c, d) of M_i - I, four arrays of length n >= 1;
+    a (2, n) array."""
     n = len(steps[0])
     blocks = -(-n // BLOCK)
     # zero pads are identity steps; e[:, j, k] is step j of block k, so each
@@ -157,9 +158,12 @@ def _prefix_products(steps) -> np.ndarray:
     while k < blocks:
         _compose(totals[:, k:], totals[:, :-k].copy(), totals[:, k:])
         k *= 2
-    # block i >= 1 carries blocks i-1 ... 0, that is total i-1
-    _compose(e[:, :, 1:], totals[:, None, :-1], e[:, :, 1:])
-    return e.transpose(0, 2, 1).reshape(4, -1)[:, :n]
+    # block i >= 1 carries blocks i-1 ... 0, that is total i-1; of the
+    # product only the second column, _compose's out[1] and out[3], is kept
+    x, y = e[:, :, 1:], totals[:, None, :-1]
+    for r in (1, 3):
+        x[r] = x[r] + y[r] + (x[r - 1] * y[1] + x[r] * y[3])
+    return e[1::2].transpose(0, 2, 1).reshape(2, -1)[:, :n]
 
 
 def first_conjugate_point(grid: Grid, U: np.ndarray, Up: np.ndarray) -> Optional[float]:

@@ -201,8 +201,11 @@ def _along(f: Integrand, y0: Extremal, residual: bool) -> Program:
 
 def _combined(program: Program, xs: np.ndarray) -> tuple:
     # (r,) p and q from one chunk; r and q may overflow: a nan residual
-    # fails stationarity in classify, and solve_accessory judges q
-    _, ypv, yppv, *residual, p, f_yy, f_xyz, f_yyz, f_yzz = program({"x": xs})
+    # fails stationarity in classify, and solve_accessory judges q. The run
+    # is not assembled, so a root that is constant along the path stays a
+    # float through the chain rule, and the caller's chunked fills each
+    # result once
+    _, ypv, yppv, *residual, p, f_yy, f_xyz, f_yyz, f_yzz = program._run({"x": xs})
     with np.errstate(over="ignore", invalid="ignore"):
         q = _less_derivative(f_yy, f_xyz, f_yyz, f_yzz, ypv, yppv)
         return (_less_derivative(*residual, p, ypv, yppv), p, q) if residual else (p, q)

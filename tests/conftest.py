@@ -1,10 +1,12 @@
 """Shared fixtures, references and random expression-tree machinery for the
 test suite."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from varcert import Expr, const, evaluate, var, sample_corpus
+from varcert import Expr, Extremal, GeneratorSpec, build, const, evaluate, parse, var, sample_corpus
 from varcert.expr import Program, chunked
 
 _VARIABLES = ("x", "y", "z")
@@ -20,6 +22,24 @@ def bits(value) -> np.ndarray:
     """The IEEE-754 bit patterns of a float, an array or a sequence of
     either, so that equal bits compare equal, nan and -0.0 included."""
     return np.asarray(value, dtype=float).view(np.int64)
+
+
+def digest(arrays) -> str:
+    """sha256 of the little-endian IEEE-754 bytes of a sequence of float
+    arrays or sequences, one after another."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def recentred_problem():
+    """An integrand built recentred on its extremal x(1-x) on [0, 0.5]: f
+    reads y - y0(x) and z - y0'(x), and every term is a polynomial."""
+    y0 = Extremal.from_text("x*(1-x)", 0.0, 0.5)
+    f, _ = build(GeneratorSpec(P=parse("x*y+y^2"), qfun=parse("x*y"), pfun=parse("1+x^2"),
+                               rho=parse("y*z"), a=0.0, b=0.5, y0=y0))
+    return f, y0
 
 
 def path_then_partials(f, y0, xs, residual: bool) -> tuple:

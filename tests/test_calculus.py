@@ -113,6 +113,19 @@ def test_integrate_rejects_bad_shapes():
         integrate(np.full(5, np.inf), grid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("others", [0.5, 1e308])
+def test_non_finite_nodes_raise(bad, others):
+    # beside finite nodes whose sum overflows too, a non-finite node is
+    # named as such
+    grid = Grid(0.0, 4.0, 4)
+    for i in (0, 1, 4):
+        values = np.full(5, others)
+        values[i] = bad
+        with pytest.raises(ValueError, match="^node values must be finite$"):
+            integrate(values, grid)
+
+
 def test_overflowing_sums_raise():
     # every sample is finite, but the weighted sums leave the float range
     grid = Grid(0.0, 4.0, 4)

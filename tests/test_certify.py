@@ -38,7 +38,7 @@ from varcert.cli import main
 from varcert.expr import CHUNK, Expr, Program, X, Y, Z, const, parse
 from varcert.variational import certify_samples
 
-from conftest import bits, path_then_partials
+from conftest import bits, digest, path_then_partials, recentred_problem
 
 PI_SQ = math.pi * math.pi
 
@@ -483,6 +483,22 @@ def test_empirical_verify_dirichlet_passes_every_rung():
         for check in report.checks:
             assert check.threshold == family.ladder[0]
             assert all(margin > 0.0 for margin in check.margins)
+
+
+# verify's margins. The integrand is a polynomial and the directions are
+# cubic splines, so every margin comes from + - * / and integer powers, and
+# no libm routine sets a bit
+@pytest.mark.parametrize("n, want", [
+    (512, "2d8c29ab7010c424eb2b18e13c51d916fb8c8103d8c498dff3e5568a583ad4d1"),
+    (4096, "65564bc249ac9104bda7614f932bd95f6b431320c51e8f1878466cfc92992ea7"),
+])
+def test_empirical_verify_margins_are_pinned(n, want):
+    f, y0 = recentred_problem()
+    grid = Grid(y0.a, y0.b, n)
+    cert = certify(f, y0, grid)
+    report = empirical_verify(f, y0, cert, PerturbationFamily(RANDOM_SPLINE, count=4), grid)
+    assert [check.threshold for check in report.checks] == [0.1] * 4
+    assert digest(check.margins for check in report.checks) == want
 
 
 def test_empirical_verify_requires_coefficient():

@@ -1125,6 +1125,39 @@ def test_chunked_folds_the_remainder_into_the_last_slice(monkeypatch, n, sizes):
     assert np.array_equal(doubled, 2.0 * xs)
 
 
+@pytest.mark.parametrize("n", [_SLICE, 2 * _SLICE + 1])
+@pytest.mark.parametrize("fails", [False, True])
+def test_chunked_fills_scalar_results_like_the_first_array(monkeypatch, n, fails):
+    # a short input, slices, and the whole-array rerun after a slice fails
+    monkeypatch.setattr(expr, "CHUNK", _SLICE)
+    xs = np.arange(n, dtype=float)
+
+    def fn(scale, a):
+        if fails and len(a) < n:
+            raise EvalDomainError("div", "division by zero")
+        return 2.5, np.float64(-0.0), scale * a
+
+    two, zero, scaled = chunked(fn, 3.0, xs)
+    for got, want in ((two, np.full(n, 2.5)), (zero, np.full(n, -0.0)), (scaled, 3.0 * xs)):
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(bits(got), bits(want))
+
+
+def test_chunked_fills_scalars_to_the_first_array_of_several_shapes():
+    def fn(*args):
+        return (1.5, *args)
+
+    first, second = np.zeros((2, 3)), np.ones(4)
+    filled, half, *arrays = chunked(fn, 0.5, first, second)
+    assert np.array_equal(filled, np.full((2, 3), 1.5))
+    assert np.array_equal(half, np.full((2, 3), 0.5))
+    assert arrays[0] is first and arrays[1] is second
+    (filled,) = chunked(lambda u, v: (7.0,), np.zeros(()), np.ones(2))
+    assert filled.shape == () and filled == 7.0
+    # without an array there is nothing to fill to
+    assert chunked(fn, 0.5) == (1.5, 0.5)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_eval_trees, min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
 def test_program_matches_reference_root_by_root(roots, seed):

@@ -13,10 +13,8 @@ from varcert import (
     EvalDomainError,
     Expr,
     Extremal,
-    GeneratorSpec,
     Grid,
     Integrand,
-    build,
     certify,
     diff,
     evaluate,
@@ -32,7 +30,7 @@ from varcert.variational import (
     ensure_same_interval,
 )
 
-from conftest import bits, eval_at, path_then_partials, random_tree
+from conftest import bits, digest, eval_at, path_then_partials, random_tree, recentred_problem
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +240,61 @@ def test_samplers_equal_the_sequence_on_recentred_integrands(e, path, n):
 def test_recentred_differences_compose_to_zero():
     # g1's integrand is recentred on x*(1-x), so without the fold its
     # program computes y0 - y0 and y0' - y0' over the whole grid
-    y0 = Extremal.from_text("x*(1-x)", 0.0, 0.5)
-    f, _ = build(GeneratorSpec(P=parse("x*y+y^2"), qfun=parse("x*y"), pfun=parse("1+x^2"),
-                               rho=parse("y*z"), a=0.0, b=0.5, y0=y0))
+    f, y0 = recentred_problem()
     sub = expr._KERNELS["sub"]
     code = variational._along(f, y0, True)._code
     assert not [step for step in code if step[0] is sub and step[2] == step[3]]
+
+
+# sha256 of both samplers' outputs; the problems are polynomials, so no libm
+# routine sets a bit
+_PINNED_SAMPLES = {
+    # every partial and the path are constants
+    "oscillator": "ad502fdb575dbf84d3a6796a52a28e9fe722e38ff8b05b958d83bfb84c898a29",
+    "zero-path": "76456d524f7ac77a7f641d2ea558f7067141762f5b112e1358d76c0013b79842",
+    "recentred": "9e95f8e3285bea4d80483f0ac721a0e6fa137c34aff9f1580e34324828bc13b1",
+}
+
+
+def _pinned_problem(name):
+    if name == "oscillator":
+        return Integrand.from_text("z^2-y^2"), Extremal.zero(0.0, 2.0)
+    if name == "zero-path":
+        return Integrand.from_text("(1+x^2)*z^2-(2+x)*y^2+y^3*z"), Extremal.zero(0.0, 1.0)
+    return recentred_problem()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SAMPLES))
+def test_sampler_bits_are_pinned(name):
+    # nodes and midpoints both span two slices
+    f, y0 = _pinned_problem(name)
+    grid = Grid(y0.a, y0.b, 2 * CHUNK + 2)
+    samples = [values for xs in (grid.nodes, grid.midpoints)
+               for sampler in (certify_samples, coefficient_samples)
+               for values in sampler(f, y0, xs)]
+    assert digest(samples) == _PINNED_SAMPLES[name]
+
+
+def test_constant_partials_stay_floats(monkeypatch):
+    # along the zero path the oscillator's partials and path values are all
+    # constants: the chain rule combines floats, and assembly fills r, p and q
+    less_derivative = variational._less_derivative
+    operands = []
+
+    def recorded(*args):
+        operands.extend(args)
+        return less_derivative(*args)
+
+    monkeypatch.setattr(variational, "_less_derivative", recorded)
+    f, y0 = _pinned_problem("oscillator")
+    n = 2 * CHUNK + 2
+    r, p, q = certify_samples(f, y0, Grid(y0.a, y0.b, n).nodes)
+    # two slices, r and q in each
+    assert len(operands) == 2 * 2 * 6
+    assert not [value for value in operands if isinstance(value, np.ndarray)]
+    for values, want in ((r, 0.0), (p, 2.0), (q, -2.0)):
+        assert isinstance(values, np.ndarray) and values.shape == (n + 1,)
+        assert np.array_equal(bits(values), bits(np.full(n + 1, want)))
 
 
 def test_compare_samples_where_the_residual_fails():
