@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 import numpy as np
 
 from .calculus import Grid
@@ -23,7 +23,6 @@ from .expr import (
     Expr,
     Program,
     _postorder,
-    chunked,
     diff,
     free_vars,
     parse,
@@ -151,14 +150,14 @@ def ensure_same_interval(y0: Extremal, grid: Grid) -> None:
 
 def certify_samples(f: Integrand, y0: Extremal, xs) -> tuple:
     """The Euler-Lagrange residual r = f_y - d/dx f_z, p and q along the path,
-    from one run of ``_along``'s program per chunk: an evaluation error is the
-    one that sampling the path, then each partial in turn, would raise."""
-    return chunked(partial(_combined, _along(f, y0, True)), np.asarray(xs, dtype=float))
+    as the roots of ``_along``'s program: each is checked finite, and an
+    evaluation error is the one that walking y0, r, p and q in turn raises."""
+    return _along(f, y0, True)({"x": np.asarray(xs, dtype=float)})[1:]
 
 
 def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
     """p and q along the path, as ``certify_samples`` gives them, without r."""
-    return chunked(partial(_combined, _along(f, y0, False)), np.asarray(xs, dtype=float))
+    return _along(f, y0, False)({"x": np.asarray(xs, dtype=float)})[1:]
 
 
 # _along's programs by integrand node, path and root set, both held weakly. A
@@ -169,18 +168,20 @@ _ALONG = weakref.WeakKeyDictionary()
 
 
 def _along(f: Integrand, y0: Extremal, residual: bool) -> Program:
-    """The program in x of y0, y0', y0'' and f's partials, r's if ``residual``,
-    then p's and q's, with y -> y0(x) and z -> y0'(x) composed node for node
-    in one walk, so each term evaluates as it does with y and z bound to the
-    path's samples.
+    """The program in x of y0, then r if ``residual``, p and q, from f's
+    partials with y -> y0(x) and z -> y0'(x) composed node for node in one
+    walk, so each term evaluates as it does with y and z bound to the path's
+    samples. r and q are g - d/dx h = ((g - h_x) - h_y y0') - h_z y0'', the
+    chain rule d/dx = ∂x + y0'∂y + y0''∂z written as nodes: y0' and y0'' are
+    not roots, but a non-finite one makes r or q non-finite.
 
     One fold is made: A - A is the constant 0.0 when A is y0, y0' or y0'',
     as in the y - y0(x) and z - y0'(x) of a problem recentred on its path.
-    The path's three roots run, and the root rule checks them finite, before
-    any partial's node, so wherever the program completes A - A is +0.0 at
-    every point; and every kernel gives the same bits, and raises the same
-    error, for a float +0.0 as for an array of them. Every other node is
-    built unfolded.
+    y0 is the first root, so it is checked finite before any partial's node
+    runs, and wherever the program completes y0' and y0'' are finite too; so
+    there A - A is +0.0 at every point, and every kernel gives the same bits
+    for a float +0.0 as for an array of them. Every other node is built
+    unfolded.
     """
     programs = _ALONG.setdefault(f.f, weakref.WeakKeyDictionary()).setdefault(y0, {})
     if residual not in programs:
@@ -195,25 +196,15 @@ def _along(f: Integrand, y0: Extremal, residual: bool) -> Program:
                     composed[node] = ZERO
                 else:
                     composed[node] = Expr(node.op, args, node.value)
-        programs[residual] = Program((*path, *map(composed.get, partials)))
+        *r_terms, p, f_yy, f_xyz, f_yyz, f_yzz = map(composed.get, partials)
+        # r from (f_y, f_xz, f_yz, f_zz) and q from (f_yy, f_xyz, f_yyz, f_yzz),
+        # each as g - d/dx h from (g, h_x, h_y, h_z)
+        chains = [(*r_terms, p)] if residual else []
+        r_and_q = [Expr("sub", (Expr("sub", (Expr("sub", (g, h_x)), Expr("mul", (h_y, path[1])))),
+                                Expr("mul", (h_z, path[2]))))
+                   for g, h_x, h_y, h_z in chains + [(f_yy, f_xyz, f_yyz, f_yzz)]]
+        programs[residual] = Program((y0.y0, *r_and_q[:-1], p, r_and_q[-1]))
     return programs[residual]
-
-
-def _combined(program: Program, xs: np.ndarray) -> tuple:
-    # (r,) p and q from one chunk; r and q may overflow: a nan residual
-    # fails stationarity in classify, and solve_accessory judges q. The run
-    # is not assembled, so a root that is constant along the path stays a
-    # float through the chain rule, and the caller's chunked fills each
-    # result once
-    _, ypv, yppv, *residual, p, f_yy, f_xyz, f_yyz, f_yzz = program._run({"x": xs})
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = _less_derivative(f_yy, f_xyz, f_yyz, f_yzz, ypv, yppv)
-        return (_less_derivative(*residual, p, ypv, yppv), p, q) if residual else (p, q)
-
-
-def _less_derivative(g, h_x, h_y, h_z, ypv, yppv):
-    # g - d/dx h along the path, from h's partials: d/dx = ∂x + y0'∂y + y0''∂z
-    return g - h_x - h_y * ypv - h_z * yppv
 
 
 def shift(f: Integrand, y0: Extremal) -> Integrand:

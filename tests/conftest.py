@@ -6,8 +6,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from varcert import Expr, Extremal, GeneratorSpec, build, const, evaluate, parse, var, sample_corpus
-from varcert.expr import Program, chunked
+from varcert import (EvalDomainError, Expr, Extremal, GeneratorSpec, build, const, evaluate, parse,
+                     var, sample_corpus)
+from varcert.expr import ZERO, Y, Z, Program, chunked
 
 _VARIABLES = ("x", "y", "z")
 _UNARY = ("sin", "cos", "exp", "ln", "sqrt", "tan", "sinh", "cosh")
@@ -61,6 +62,112 @@ def path_then_partials(f, y0, xs, residual: bool) -> tuple:
             return f_y - f_xz - f_yz * ypv - p * yppv, p, q
 
     return chunked(chunk, xs)
+
+
+def walk_along(f, y0, xs, residual: bool) -> None:
+    """The reference for the samplers' errors, which it raises: f's partials
+    composed with y -> y0(x) and z -> y0'(x) node for node, with A - A the
+    constant 0.0 when A is y0, y0' or y0''; then y0, (r,) p and q walked at
+    xs in turn, r and q by the chain rule, each checked finite after its
+    walk."""
+    path = (y0.y0, y0.y0p, y0.y0pp)
+    composed = {Y: y0.y0, Z: y0.y0p}
+
+    def compose(e):
+        if e not in composed:
+            args = tuple(map(compose, e.args))
+            folded = e.op == "sub" and args[0] is args[1] and args[0] in path
+            composed[e] = ZERO if folded else Expr(e.op, args, e.value)
+        return composed[e]
+
+    def at(e):
+        return walk(compose(e), {"x": xs})
+
+    def less_derivative(g, h_x, h_y, h_z):
+        # g - d/dx h, with d/dx = ∂x + y0'∂y + y0''∂z
+        return at(g) - at(h_x) - at(h_y) * at(Z) - at(h_z) * at(y0.y0pp)
+
+    def check(op, value):
+        if not np.all(np.isfinite(value)):
+            raise EvalDomainError(op, "non-finite result")
+
+    with np.errstate(all="ignore"):
+        check(y0.y0.op, at(y0.y0))
+        if residual:
+            check("sub", less_derivative(f.f_y, f.f_xz, f.f_yz, f.f_zz))
+        check(compose(f.f_zz).op, at(f.f_zz))
+        check("sub", less_derivative(f.f_yy, f.f_xyz, f.f_yyz, f.f_yzz))
+
+
+def walk(e, env):
+    """e on floats or numpy arrays by the recursive tree walk that compiled
+    programs replace, with the kernels' domain guards; no root check."""
+    op = e.op
+    if op == "const":
+        return e.value
+    if op == "var":
+        try:
+            return env[e.value]
+        except KeyError:
+            raise EvalDomainError("var", f"unbound variable {e.value!r}") from None
+    if op == "add":
+        return walk(e.args[0], env) + walk(e.args[1], env)
+    if op == "sub":
+        return walk(e.args[0], env) - walk(e.args[1], env)
+    if op == "mul":
+        return walk(e.args[0], env) * walk(e.args[1], env)
+    if op == "div":
+        num = walk(e.args[0], env)
+        den = walk(e.args[1], env)
+        if np.any(den == 0.0):
+            raise EvalDomainError("div", "division by zero")
+        return num / den
+    if op == "pow":
+        base = walk(e.args[0], env)
+        if e.value < 0 and np.any(base == 0.0):
+            raise EvalDomainError("pow", "zero base with negative exponent")
+        return _binary_power(base, e.value)
+    u = walk(e.args[0], env)
+    if op == "neg":
+        return -u
+    if op == "sin":
+        return np.sin(u)
+    if op == "cos":
+        return np.cos(u)
+    if op == "tan":
+        return np.tan(u)
+    if op == "exp":
+        return np.exp(u)
+    if op == "ln":
+        if np.any(u <= 0.0):
+            raise EvalDomainError("ln", "argument not positive")
+        return np.log(u)
+    if op == "sqrt":
+        if np.any(u < 0.0):
+            raise EvalDomainError("sqrt", "negative argument")
+        return np.sqrt(u)
+    if op == "sinh":
+        return np.sinh(u)
+    if op == "cosh":
+        return np.cosh(u)
+    raise AssertionError(op)
+
+
+def _binary_power(base, n):
+    # base^|n| from the bits of |n|, lowest first: squares for the bits,
+    # multiplied in where a bit is set; reciprocal for negative n
+    if n == 0:
+        return base ** 0
+    squares = [base]
+    for _ in range(abs(n).bit_length() - 1):
+        squares.append(squares[-1] * squares[-1])
+    power = None
+    for bit, square in enumerate(squares):
+        if abs(n) >> bit & 1:
+            power = square if power is None else power * square
+    if n < 0:
+        power = np.divide(1.0, power)  # ±inf for ±0.0, on a float as on an array
+    return power
 
 
 def random_tree(rng: np.random.Generator, depth: int, rules: bool = False) -> Expr:

@@ -1,5 +1,6 @@
 """Verdict logic, quadratic coefficients, empirical probing."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -30,6 +31,7 @@ from varcert import (
     h1_norm_sq,
     length_bound,
     quad_coefficient,
+    sample_corpus,
 )
 from varcert import expr, variational
 from varcert.calculus import SampledPath
@@ -38,7 +40,7 @@ from varcert.cli import main
 from varcert.expr import CHUNK, Expr, Program, X, Y, Z, const, parse
 from varcert.variational import certify_samples
 
-from conftest import bits, digest, path_then_partials, recentred_problem
+from conftest import bits, digest, path_then_partials, recentred_problem, walk_along
 
 PI_SQ = math.pi * math.pi
 
@@ -262,7 +264,13 @@ def test_certify_runs_one_program_per_chunk(monkeypatch):
 
 def _two_pass(f, y0, grid):
     # certify's numbers as the path's program, then the partials', make them
-    r, p, q = path_then_partials(f, y0, grid.nodes, True)
+    # where r, p and q are finite; None elsewhere
+    try:
+        r, p, q = path_then_partials(f, y0, grid.nodes, True)
+    except EvalDomainError:
+        return None
+    if not np.isfinite((r, p, q)).all():
+        return None
     return float(np.max(np.abs(r))), float(p.min()), float(q.min())
 
 
@@ -283,10 +291,10 @@ _paths = st.recursive(st.one_of(_coefficients, st.just(X)), _fused_combine, max_
 
 @settings(max_examples=60, deadline=None)
 @given(_integrands, _paths, st.sampled_from([16, 3 * CHUNK]))
-# only a profile root fails: f_yy = 2e308 overflows, f_y = 2e308*y is 0
+# only q fails: f_yy = 2e308 overflows, f_y = 2e308*y is 0
 @example(parse("z^2+1e308*y^2"), parse("0"), 3 * CHUNK)
-# a residual root fails in the last chunk (x > 0.9), a profile root in the
-# first (x < 0.1): the whole-grid pass meets the residual's first
+# r fails in the last chunk (x > 0.9), q in the first (x < 0.1): the
+# whole-grid pass meets r's first
 @example(parse("z^2+1e308*(1-x)*y^2+y*ln(0.9-x)"), parse("0"), 3 * CHUNK)
 @example(parse("z^2+1e308*(1-x)*y^2+y*ln(0.9-x)"), parse("0"), 16)
 def test_fused_certify_pass_equals_the_two_pass_sequence(e, path, n):
@@ -294,16 +302,33 @@ def test_fused_certify_pass_equals_the_two_pass_sequence(e, path, n):
     y0 = Extremal(path, 0.0, 1.0)
     grid = Grid(0.0, 1.0, n)
     with np.errstate(all="ignore"):
-        try:
-            want = _two_pass(f, y0, grid)
-        except EvalDomainError as expected:
+        want = _two_pass(f, y0, grid)
+        if want is None:
+            with pytest.raises(EvalDomainError) as expected:
+                walk_along(f, y0, grid.nodes, True)
             with pytest.raises(EvalDomainError) as err:
                 certify(f, y0, grid)
-            assert str(err.value) == str(expected)
+            assert str(err.value) == str(expected.value)
             return
         cert = certify(f, y0, grid)
     got = cert.verdict.el_residual_max, cert.p_min, cert.q_min
     assert np.array_equal(bits(got), bits(want))
+
+
+# sha256 of each corpus instance's verdict, p_min, q_min and
+# quad_coefficient at n=512, by repr, which round-trips every float; the
+# integrands call sin, cos and exp, as the pinned corpus bytes do
+@pytest.mark.parametrize("b, want", [
+    (0.6, "3fce840a8c57a4c760e66d08649e5de96f4e750537bb9c9b30bf3b4ba99b9005"),
+    (1.0, "6aca69ad6c3a176b687c3ab2b413510c9edb3fcbe7d8d3195c612120eb10222c"),
+])
+def test_corpus_certificates_are_pinned(b, want):
+    h = hashlib.sha256()
+    for _, f, y0 in sample_corpus(0, 100, 0.0, b):
+        cert = certify(f, y0, Grid(y0.a, y0.b, 512))
+        h.update(repr((cert.verdict.kind.value, cert.p_min, cert.q_min,
+                       cert.quad_coefficient)).encode() + b"\n")
+    assert h.hexdigest() == want
 
 
 def test_functional_value_dirichlet():

@@ -225,14 +225,23 @@ def test_characters_outside_the_grammar_are_parse_errors(tmp_path, capsys, integ
 
 
 def test_nan_residual_fails_stationarity(tmp_path, capsys):
-    # f_zz y0'' overflows, and the residual is nan at 242 of the 513 nodes
+    # f_zz y0'' overflows, and the residual is nan at 242 of the 513 nodes;
+    # r is a root of the sampling program, so the root rule judges it
     path = _problem(tmp_path, integrand="5e300*z^2 + 1e300*sin(z)*y",
                     interval={"a": 0, "b": 1}, extremal="sin(1e10*x)")
-    code, out, err = _run(capsys, ["certify", path])
-    assert (code, err) == (EXIT_PRECONDITION, "")
-    report = json.loads(out)
-    assert report["verdict"] == "EulerLagrangeFailed"
-    assert report["el_residual_max"] is None
+    assert _run(capsys, ["certify", path]) == (
+        EXIT_ERROR, "", "error: domain error in 'sub': non-finite result\n")
+
+
+@pytest.mark.parametrize("command", ["certify", "compare", "verify"])
+def test_overflowing_q_is_one_error_line(tmp_path, capsys, command):
+    # every partial is finite, but q = f_yy - f_xyz = -0.5e308*2 - 1e308
+    # overflows: the true q_min, -2e308, would give a length bound of
+    # 7.85e-155 > 1e-160, so a verdict read from q_min = -inf is false
+    path = _problem(tmp_path, integrand="z^2-0.5e308*y^2+1e308*x*y*z",
+                    interval={"a": 0, "b": 1e-160})
+    assert _run(capsys, [command, path]) == (
+        EXIT_ERROR, "", "error: domain error in 'sub': non-finite result\n")
 
 
 @pytest.mark.parametrize("command", ["certify", "compare", "verify"])

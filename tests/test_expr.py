@@ -57,7 +57,7 @@ from varcert.expr import (
     chunked,
 )
 
-from conftest import bits, eval_at, random_tree
+from conftest import bits, eval_at, random_tree, walk
 
 
 # ---------------------------------------------------------------------------
@@ -66,79 +66,10 @@ from conftest import bits, eval_at, random_tree
 
 def _reference_evaluate(e, env):
     with np.errstate(all="ignore"):
-        out = _walk(e, env)
+        out = walk(e, env)
     if not np.all(np.isfinite(out)):
         raise EvalDomainError(e.op, "non-finite result")
     return out
-
-
-def _walk(e, env):
-    op = e.op
-    if op == "const":
-        return e.value
-    if op == "var":
-        try:
-            return env[e.value]
-        except KeyError:
-            raise EvalDomainError("var", f"unbound variable {e.value!r}") from None
-    if op == "add":
-        return _walk(e.args[0], env) + _walk(e.args[1], env)
-    if op == "sub":
-        return _walk(e.args[0], env) - _walk(e.args[1], env)
-    if op == "mul":
-        return _walk(e.args[0], env) * _walk(e.args[1], env)
-    if op == "div":
-        num = _walk(e.args[0], env)
-        den = _walk(e.args[1], env)
-        if np.any(den == 0.0):
-            raise EvalDomainError("div", "division by zero")
-        return num / den
-    if op == "pow":
-        base = _walk(e.args[0], env)
-        if e.value < 0 and np.any(base == 0.0):
-            raise EvalDomainError("pow", "zero base with negative exponent")
-        return _binary_power(base, e.value)
-    u = _walk(e.args[0], env)
-    if op == "neg":
-        return -u
-    if op == "sin":
-        return np.sin(u)
-    if op == "cos":
-        return np.cos(u)
-    if op == "tan":
-        return np.tan(u)
-    if op == "exp":
-        return np.exp(u)
-    if op == "ln":
-        if np.any(u <= 0.0):
-            raise EvalDomainError("ln", "argument not positive")
-        return np.log(u)
-    if op == "sqrt":
-        if np.any(u < 0.0):
-            raise EvalDomainError("sqrt", "negative argument")
-        return np.sqrt(u)
-    if op == "sinh":
-        return np.sinh(u)
-    if op == "cosh":
-        return np.cosh(u)
-    raise AssertionError(op)
-
-
-def _binary_power(base, n):
-    # base^|n| from the bits of |n|, lowest first: squares for the bits,
-    # multiplied in where a bit is set; reciprocal for negative n
-    if n == 0:
-        return base ** 0
-    squares = [base]
-    for _ in range(abs(n).bit_length() - 1):
-        squares.append(squares[-1] * squares[-1])
-    power = None
-    for bit, square in enumerate(squares):
-        if abs(n) >> bit & 1:
-            power = square if power is None else power * square
-    if n < 0:
-        power = np.divide(1.0, power)  # ±inf for ±0.0, on a float as on an array
-    return power
 
 
 # ---------------------------------------------------------------------------

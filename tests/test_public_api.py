@@ -93,6 +93,8 @@ DELETED = (
     "variational.LegendreProfile",
     "variational._certify_chunk",
     "variational._coefficients",
+    "variational._combined",
+    "variational._less_derivative",
     "variational._p_and_q",
     "variational.el_residual",
     "variational.el_residual_at",
@@ -149,6 +151,16 @@ def test_no_unbounded_caches(path):
               and node.value.id == "functools"):
             used.add(node.attr)
     assert sorted(used & {"cache", "lru_cache"}) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "expr.py"))
+def test_only_expr_reads_a_programs_private_attributes(path):
+    # Program(roots)(env) is the one way to run compiled expressions, so the
+    # root rule judges every value a caller gets
+    tree = ast.parse((PACKAGE / path).read_text(encoding="utf-8"))
+    private = {"_run", "_code", "_template", "_outputs"}
+    assert sorted(f"{node.attr} at line {node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in private) == []
 
 
 def test_init_imports_match_all():

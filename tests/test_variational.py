@@ -30,7 +30,8 @@ from varcert.variational import (
     ensure_same_interval,
 )
 
-from conftest import bits, digest, eval_at, path_then_partials, random_tree, recentred_problem
+from conftest import (bits, digest, eval_at, path_then_partials, random_tree, recentred_problem,
+                      walk_along)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,16 @@ _random_paths = _seeds.map(lambda rng: substitute(random_tree(rng, 3, rules=True
 @example(parse("z^2+(y+1e160)^4"), parse("0"), 16)
 @example(parse("z^2+exp(-(y+1e160)^2)"), parse("0"), 16)
 @example(parse("z^2+(y+1e-200)^-2*x"), parse("0"), 16)
+# every partial is finite, but q = f_yy - f_xyz overflows
+@example(parse("z^2-0.5e308*y^2+1e308*x*y*z"), parse("0"), 16)
+# y0'' overflows where y0 and y0' do not, and reaches r as f_zz y0'' and q
+# as f_yzz y0'' = 0*inf
+@example(parse("z^2+y^2"), parse("exp(700*x)"), 16)
+# p overflows and q's ln fails: compare meets p first, certify r's ln
+@example(parse("1e308*(1+x)*z^2+y^2*ln(x-0.5)"), parse("0"), 16)
 def test_samplers_equal_the_path_then_partials_sequence(e, path, n):
+    # where the sequence gives finite (r,) p and q, the samplers give their
+    # bits; elsewhere they raise the error of walking y0, (r,) p and q
     f = Integrand(e)
     y0 = Extremal(path, 0.0, 1.0)
     grid = Grid(0.0, 1.0, n)
@@ -212,12 +222,16 @@ def test_samplers_equal_the_path_then_partials_sequence(e, path, n):
         for xs in (grid.nodes, grid.midpoints):
             try:
                 want = path_then_partials(f, y0, xs, residual)
-            except EvalDomainError as expected:
-                with pytest.raises(EvalDomainError) as err:
-                    sampler(f, y0, xs)
-                assert str(err.value) == str(expected)
+            except EvalDomainError:
+                want = None
+            if want is not None and np.isfinite(want).all():
+                assert np.array_equal(bits(sampler(f, y0, xs)), bits(want))
                 continue
-            assert np.array_equal(bits(sampler(f, y0, xs)), bits(want))
+            with pytest.raises(EvalDomainError) as expected:
+                walk_along(f, y0, xs, residual)
+            with pytest.raises(EvalDomainError) as err:
+                sampler(f, y0, xs)
+            assert str(err.value) == str(expected.value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,26 +289,19 @@ def test_sampler_bits_are_pinned(name):
     assert digest(samples) == _PINNED_SAMPLES[name]
 
 
-def test_constant_partials_stay_floats(monkeypatch):
+def test_constant_partials_stay_floats():
     # along the zero path the oscillator's partials and path values are all
-    # constants: the chain rule combines floats, and assembly fills r, p and q
-    less_derivative = variational._less_derivative
-    operands = []
-
-    def recorded(*args):
-        operands.extend(args)
-        return less_derivative(*args)
-
-    monkeypatch.setattr(variational, "_less_derivative", recorded)
+    # constants: a run of its program forms r, p and q as floats by the
+    # chain rule, and assembly fills each
     f, y0 = _pinned_problem("oscillator")
     n = 2 * CHUNK + 2
-    r, p, q = certify_samples(f, y0, Grid(y0.a, y0.b, n).nodes)
-    # two slices, r and q in each
-    assert len(operands) == 2 * 2 * 6
-    assert not [value for value in operands if isinstance(value, np.ndarray)]
-    for values, want in ((r, 0.0), (p, 2.0), (q, -2.0)):
-        assert isinstance(values, np.ndarray) and values.shape == (n + 1,)
-        assert np.array_equal(bits(values), bits(np.full(n + 1, want)))
+    nodes = Grid(y0.a, y0.b, n).nodes
+    values = variational._along(f, y0, True)._run({"x": nodes[:CHUNK]})
+    assert [type(value) for value in values] == [float] * 4
+    for sampler, wants in ((certify_samples, (0.0, 2.0, -2.0)), (coefficient_samples, (2.0, -2.0))):
+        for values, want in zip(sampler(f, y0, nodes), wants, strict=True):
+            assert isinstance(values, np.ndarray) and values.shape == (n + 1,)
+            assert np.array_equal(bits(values), bits(np.full(n + 1, want)))
 
 
 def test_compare_samples_where_the_residual_fails():
