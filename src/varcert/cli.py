@@ -20,6 +20,8 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .calculus import DEFAULT_GRID_N, Grid
 from .certify import (
@@ -109,10 +111,6 @@ def _render(value) -> str:
             parts.append(json.dumps(str(key)) + ": " + _render(value[key]))
         return "{" + ", ".join(parts) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _emit(report: dict) -> None:
-    sys.stdout.write(_render(report) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -208,43 +206,32 @@ def _certificate_block(f: Integrand, cert: Certificate, grid: Grid) -> dict:
     }
 
 
-def _certificate_report(args, problem: dict, f: Integrand, cert: Certificate, grid: Grid) -> dict:
-    return {"command": args.command, "version": __version__, "problem": problem,
-            **_certificate_block(f, cert, grid)}
-
-
 def _write_plot_data(path: str, grid: Grid, p, q, U=None) -> None:
-    lines = ["x,p,q,U"]
-    for i, x in enumerate(grid.nodes):
-        u = "" if U is None else format(float(U[i]), ".17g")
-        lines.append(
-            f"{format(float(x), '.17g')},{format(float(p[i]), '.17g')},"
-            f"{format(float(q[i]), '.17g')},{u}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    # without U, each row ends in an empty U column
+    extra = () if U is None else (U,)
+    np.savetxt(path, np.column_stack((grid.nodes, p, q, *extra)),
+               fmt="%.17g," * 3 + "%.17g" * len(extra), header="x,p,q,U", comments="")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report and exit code; main writes the report
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple:
     problem, f, y0, grid, el_tol = _load_problem(args)
     cert = certify(f, y0, grid, el_tol=el_tol)
-    report = _certificate_report(args, problem, f, cert, grid)
     if args.plot_data:
         _, p, q = certify_samples(f, y0, grid.nodes)
         _write_plot_data(args.plot_data, grid, p, q)
-    _emit(report)
-    return _exit_for(cert.verdict.kind)
+    return {"problem": problem, **_certificate_block(f, cert, grid)}, _exit_for(cert.verdict.kind)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple:
     problem, f, y0, grid, _ = _load_problem(args)
     solution = compare_criteria(f, y0, grid)
-    report = {
-        "command": "compare",
-        "version": __version__,
+    if args.plot_data:
+        _write_plot_data(args.plot_data, grid, solution.p_of_x, solution.q_of_x, solution.U)
+    return {
         "problem": problem,
         "p_min": solution.p_min,
         "q_min": solution.q_min,
@@ -252,26 +239,20 @@ def cmd_compare(args) -> int:
         "length_jacobi": solution.length_jacobi,
         "ratio": solution.ratio,
         "conjugate_point": solution.conjugate_point,
-    }
-    if args.plot_data:
-        _write_plot_data(args.plot_data, grid, solution.p_of_x, solution.q_of_x, solution.U)
-    _emit(report)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     problem, f, y0, grid, el_tol = _load_problem(args)
     # each sine mode spans at least two cells per half-wave
     cells = 2 * _PROBES[0].count
     if grid.n < cells:
         raise ValueError(f"verify needs a grid of at least {cells} cells, got {grid.n}")
     cert = certify(f, y0, grid, el_tol=el_tol)
-    report = _certificate_report(args, problem, f, cert, grid)
+    report = {"problem": problem, **_certificate_block(f, cert, grid)}
     if cert.quad_coefficient is None:
         # no growth constant to probe; the certificate's note says why
-        report["empirical"] = None
-        _emit(report)
-        return EXIT_PRECONDITION
+        return {**report, "empirical": None}, EXIT_PRECONDITION
     ladder = list(PerturbationFamily.ladder)
     results = [empirical_verify(f, y0, cert, fam, grid) for fam in _PROBES]
     checks = [{"label": check.label, "threshold": check.threshold,
@@ -291,8 +272,7 @@ def cmd_verify(args) -> int:
             "At least one perturbation shows less growth than the certified "
             "quadratic model at every rung; inspect the margins."),
     }
-    _emit(report)
-    return EXIT_OK if passed else EXIT_PRECONDITION
+    return report, EXIT_OK if passed else EXIT_PRECONDITION
 
 
 def _spec_from_json(raw: dict) -> GeneratorSpec:
@@ -337,7 +317,7 @@ def _built_echo(spec: GeneratorSpec, integrand: Integrand, extremal: Extremal) -
             "extremal": unparse(extremal.y0)}
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple:
     if (args.spec is None) == (args.corpus is None):
         raise ValueError("generate expects a spec file or --corpus SEED COUNT")
     if args.corpus is not None:
@@ -346,31 +326,19 @@ def cmd_generate(args) -> int:
                      "ingredients": _spec_echo(spec)}
                     for index, (spec, integrand, extremal)
                     in enumerate(sample_corpus(seed, count, 0.0, 0.6))]
-        _emit({
-            "command": "generate",
-            "version": __version__,
-            "mode": "corpus",
-            "seed": seed,
-            "count": count,
-            "problems": problems,
-        })
-        return EXIT_OK
+        return {"mode": "corpus", "seed": seed, "count": count, "problems": problems}, EXIT_OK
     spec = _spec_from_json(_load_json(args.spec))
     integrand, info = build(spec)
     extremal = spec.y0 if spec.y0 is not None else Extremal.zero(spec.a, spec.b)
     grid = Grid(spec.a, spec.b, _resolve_grid_n(args.grid_n, None))
     cert = certify(integrand, extremal, grid)
-    report = {
-        "command": "generate",
-        "version": __version__,
+    return {
         "mode": "spec",
         "ingredients": _spec_echo(spec),
         "problem": {**_built_echo(spec, integrand, extremal), "grid_n": grid.n},
         "provenance": asdict(info),
         "certificate": _certificate_block(integrand, cert, grid),
-    }
-    _emit(report)
-    return _exit_for(cert.verdict.kind)
+    }, _exit_for(cert.verdict.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -378,46 +346,40 @@ def cmd_generate(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def declared(*names, **options) -> argparse.ArgumentParser:
+        # a parent parser, so each argument is declared once for all its users
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **options)
+        return parent
+
+    problem = declared("problem", help="problem JSON file")
+    grid_n = declared("--grid-n", type=int, default=None, help="override the evaluation grid size")
+    el_tol = declared("--el-tol", type=float, default=None, help="stationarity residual tolerance")
+    plot_data = declared("--plot-data", metavar="CSV", default=None,
+                         help="write x,p,q columns (and compare's U) for plotting")
+    # a parent too, so that generate's usage lists --corpus before --grid-n
+    source = declared("spec", nargs="?", default=None, help="generator ingredient JSON file")
+    source.add_argument("--corpus", nargs=2, type=int, metavar=("SEED", "COUNT"),
+                        default=None, help="emit a deterministic problem corpus")
+
     parser = argparse.ArgumentParser(
         prog="varcert",
         description="Certify weak local minimality (strong when f is at most "
                     "quadratic in the slope) of one-dimensional integral functionals "
                     "without solving the accessory boundary-value problem.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cert = sub.add_parser("certify", help="decide minimality of a supplied path")
-    p_cert.add_argument("problem", help="problem JSON file")
-    p_cert.add_argument("--grid-n", type=int, default=None,
-                        help="override the evaluation grid size")
-    p_cert.add_argument("--el-tol", type=float, default=None,
-                        help="stationarity residual tolerance")
-    p_cert.add_argument("--plot-data", metavar="CSV", default=None,
-                        help="write x,p,q columns for plotting")
-    p_cert.set_defaults(func=cmd_certify)
-
-    p_comp = sub.add_parser(
-        "compare", help="length criterion next to the conjugate-point computation")
-    p_comp.add_argument("problem", help="problem JSON file")
-    p_comp.add_argument("--grid-n", type=int, default=None)
-    p_comp.add_argument("--plot-data", metavar="CSV", default=None,
-                        help="write x,p,q,U columns for plotting")
-    p_comp.set_defaults(func=cmd_compare, el_tol=None)
-
-    p_gen = sub.add_parser(
-        "generate", help="build an integrand whose designated path is an extremal")
-    p_gen.add_argument("spec", nargs="?", default=None,
-                       help="generator ingredient JSON file")
-    p_gen.add_argument("--corpus", nargs=2, type=int, metavar=("SEED", "COUNT"),
-                       default=None, help="emit a deterministic problem corpus")
-    p_gen.add_argument("--grid-n", type=int, default=None)
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_ver = sub.add_parser(
-        "verify", help="probe a certificate empirically with perturbation ladders")
-    p_ver.add_argument("problem", help="problem JSON file")
-    p_ver.add_argument("--grid-n", type=int, default=None)
-    p_ver.add_argument("--el-tol", type=float, default=None)
-    p_ver.set_defaults(func=cmd_verify)
+    for name, parents, text, func in (
+        ("certify", [problem, grid_n, el_tol, plot_data],
+         "decide minimality of a supplied path", cmd_certify),
+        ("compare", [problem, grid_n, plot_data],
+         "length criterion next to the conjugate-point computation", cmd_compare),
+        ("generate", [source, grid_n],
+         "build an integrand whose designated path is an extremal", cmd_generate),
+        ("verify", [problem, grid_n, el_tol],
+         "probe a certificate empirically with perturbation ladders", cmd_verify),
+    ):
+        # compare has no --el-tol: None lets it load its problem as the others do
+        sub.add_parser(name, parents=parents, help=text).set_defaults(func=func, el_tol=None)
     return parser
 
 
@@ -428,7 +390,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        # the one write of a report, inside the try, so that a value _render
+        # cannot serialize or a closed stdout is one error line too
+        sys.stdout.write(_render({"command": args.command, "version": __version__, **report})
+                         + "\n")
+        return code
     except LegendreError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -79,12 +79,19 @@ def solve_accessory(f: Integrand, y0: Extremal, grid: Grid) -> AccessorySolution
     p_mids, q_mids = coefficient_samples(f, y0, grid.midpoints)
     if p_mids.min() <= 0.0:
         raise LegendreError("accessory equation requires f_zz > 0 along the path")
-    # an overflowing march ends in AccessoryIntegrationError, not in warnings
+    # march on p and q times 2^k, which brings max p into [0.5, 1), so h / p
+    # stays finite for a subnormal p; a power of two scales V and every RK4
+    # quantity exactly and leaves U unchanged. An overflowing march ends in
+    # AccessoryIntegrationError, not in warnings
+    k = -math.frexp(float(p_nodes.max()))[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        U, V = _march(grid.h, p_nodes, q_nodes, p_mids, q_mids)
+        p_scaled, *rest = (np.ldexp(c, k) for c in (p_nodes, q_nodes, p_mids, q_mids))
+        U, V_scaled = _march(grid.h, p_scaled, *rest)
+        V = np.ldexp(V_scaled, -k)
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise AccessoryIntegrationError("accessory integration produced non-finite values")
-    conjugate = first_conjugate_point(grid, U, V / p_nodes)
+    # U' from the scaled pair, which keeps the bits a subnormal V would lose
+    conjugate = first_conjugate_point(grid, U, V_scaled / p_scaled)
     bound = length_bound(p_min, q_min)
     length_new = math.inf if bound is None else bound
     length_jacobi = math.inf if conjugate is None else conjugate - grid.a

@@ -386,6 +386,16 @@ def test_compare_infinite_lengths_serialize_as_strings(tmp_path, capsys):
     assert report["conjugate_point"] is None
 
 
+def test_compare_of_a_subnormal_p_exits_zero(tmp_path, capsys):
+    # certify says MinimumUnconditional here, and compare must not overflow
+    # on h / p
+    path = _problem(tmp_path, integrand="1e-320*z^2", interval={"a": 0, "b": 1})
+    code, out, err = _run(capsys, ["compare", path])
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    assert report["conjugate_point"] is None and report["p_min"] > 0.0
+
+
 def test_compare_legendre_failure_exits_three(tmp_path, capsys):
     path = _problem(tmp_path, integrand="-z^2")
     code, _, err = _run(capsys, ["compare", path])

@@ -204,6 +204,26 @@ def test_overflow_raises_without_warnings():
         _solve("0.5*z^2+1e6*y^2", 0.0, 10.0, n=512)
 
 
+@pytest.mark.parametrize("exponent", [1000, -1000])
+def test_scaling_f_by_a_power_of_two_keeps_every_bit(exponent):
+    # p and q are scaled to max p in [0.5, 1) before the march, so λ = 2^±1000
+    # meets the same march as λ = 1: U is bitwise equal and V is λ V exactly
+    lam = math.ldexp(1.0, exponent)
+    base, _ = _solve("z^2-y^2", 0.0, 4.0, n=512)
+    scaled, _ = _solve(f"{lam!r}*(z^2-y^2)", 0.0, 4.0, n=512)
+    assert scaled.U.tobytes() == base.U.tobytes()
+    assert scaled.V.tobytes() == (lam * base.V).tobytes()
+    assert scaled.conjugate_point == base.conjugate_point
+
+
+@pytest.mark.parametrize("lam", [1e-320, 1e-300, 1e300])
+def test_the_conjugate_point_does_not_move_under_scaling(lam):
+    # 1e-320 makes p subnormal, where h / p would overflow unscaled
+    base, _ = _solve("z^2-y^2", 0.0, 4.0, n=512)
+    scaled, _ = _solve(f"{lam!r}*(z^2-y^2)", 0.0, 4.0, n=512)
+    assert abs(scaled.conjugate_point - base.conjugate_point) <= 2.0 * X_TOL
+
+
 def test_variable_coefficient_scaling():
     # p = 1 + x^2 with q = 0: V is constant, U' = V / p, so
     # U(x) = p(a) * arctan(x) with a = 0

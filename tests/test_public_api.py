@@ -49,6 +49,8 @@ DELETED = (
     "certify.PerturbationFamily._directions",
     "cli.CliInputError",
     "cli._SOBOLEV_NOTE",
+    "cli._certificate_report",
+    "cli._emit",
     "cli._reported_length_bound",
     "expr.Expr.__add__",
     "expr.Expr.__mul__",
@@ -161,6 +163,24 @@ def test_only_expr_reads_a_programs_private_attributes(path):
     private = {"_run", "_code", "_template", "_outputs"}
     assert sorted(f"{node.attr} at line {node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in private) == []
+
+
+def test_only_main_writes_stdout():
+    # each command returns its report and main writes it once, inside the
+    # try that turns a render or write error into one error line
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    writers = set()
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            writers |= {function.name for node in ast.walk(function)
+                        if isinstance(node, ast.Attribute) and node.attr == "stdout"
+                        and isinstance(node.value, ast.Name) and node.value.id == "sys"}
+    assert writers == {"main"}
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    for call in prints:
+        target = next((kw.value for kw in call.keywords if kw.arg == "file"), None)
+        assert target is not None and ast.unparse(target) == "sys.stderr", call.lineno
 
 
 def test_init_imports_match_all():
@@ -515,3 +535,21 @@ def test_readme_python_blocks_hold_the_values_their_comments_state():
                 assert got == pytest.approx(want, rel=1e-9), line
             stated += 1
     assert (len(blocks), stated) == (2, 4)
+
+
+def test_a_failing_property_does_not_abort_the_session(tmp_path):
+    # on failure hypothesis imports libcst, if installed, which warns through
+    # mypy_extensions; the settings must let pytest report every test
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n\n\n"
+        "def test_passes():\n"
+        "    pass\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-q", "test_property.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout.splitlines()[-1]
