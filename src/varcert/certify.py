@@ -26,7 +26,7 @@ from .variational import (
     Extremal,
     Integrand,
     LegendreError,
-    certify_samples,
+    certify_extrema,
     ensure_same_interval,
 )
 
@@ -149,14 +149,13 @@ def certify(f: Integrand, y0: Extremal, grid: Grid,
             el_tol: float = DEFAULT_EL_TOL) -> Certificate:
     """Full pipeline: residual, Legendre profile, verdict, quadratic coefficient.
 
-    The residual, p and q come from one pass of ``certify_samples`` over the
-    grid nodes, which runs f's partials composed along the path per chunk.
+    max |r|, p_min and q_min come from one pass of ``certify_extrema`` over
+    the grid nodes, which runs f's partials composed along the path per
+    slice and folds each slice into the three numbers: no profile is
+    assembled, and a constant r, p or q is never filled.
     """
     ensure_same_interval(y0, grid)
-    residual, p, q = certify_samples(f, y0, grid.nodes)
-    el_max = float(np.max(np.abs(residual)))
-    p_min = float(p.min())
-    q_min = float(q.min())
+    el_max, p_min, q_min = certify_extrema(f, y0, grid.nodes)
     verdict = classify(p_min, q_min, el_max, y0.a, y0.b, el_tol)
     coefficient = None
     if verdict.kind in MINIMUM_KINDS:

@@ -306,8 +306,8 @@ def _lowest(u):
 
 
 def _root(value, _, root):
-    # a root's value, which must be finite; chunked, which assembles the
-    # values, fills a scalar one over arrays
+    # a root's value, which must be finite; assemble, which puts the
+    # values together, fills a scalar one over arrays
     if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
         raise EvalDomainError(root.op, "non-finite result")
     return value
@@ -346,9 +346,10 @@ class Program:
     reused. Any other register is reused once its value has had its last
     use. So a run raises the error that evaluating the roots one after
     another over the whole arrays raises. A run leaves a root that does not
-    depend on an array, such as a constant, a float; calling the program
-    assembles its values by ``chunked``, which fills such a root out to the
-    shape of the first array in the env.
+    depend on an array, such as a constant, a float. ``chunks`` hands over
+    each slice's values as the run leaves them; calling the program
+    assembles them by ``chunked``, which fills such a root out to the shape
+    of the first array in the env.
 
     The nodes in ``given`` are not computed: like a variable, each is read
     from the environment, keyed by the node itself. A program keeps its
@@ -422,47 +423,80 @@ class Program:
 
     def __call__(self, env: Mapping[str, Number]) -> tuple:
         """Each root's value on floats or numpy arrays; raises EvalDomainError."""
+        return chunked(self._bound(env), *env.values())
+
+    def chunks(self, env: Mapping[str, Number]):
+        """Each slice's root values, as ``chunks`` yields them for a call.
+
+        A root that does not depend on an array stays a float and is never
+        filled. Iterating raises the EvalDomainError a call raises.
+        """
+        return chunks(self._bound(env), *env.values())
+
+    def _bound(self, env):
         names = tuple(env)
-        return chunked(lambda *values: self._run(dict(zip(names, values))), *env.values())
+        return lambda *values: self._run(dict(zip(names, values)))
 
 
 def chunked(fn, *args) -> tuple:
-    """fn(*args) for a fn that acts point by point, CHUNK points at a time.
+    """fn(*args) for a fn that acts point by point, CHUNK points at a time:
+    ``assemble`` over ``chunks(fn, *args)``, filled like the first array
+    argument."""
+    like = next((a for a in args if isinstance(a, np.ndarray)), None)
+    return assemble(chunks(fn, *args), like)
+
+
+def chunks(fn, *args):
+    """fn's results on the points of args, as (part, values) pairs, one per run.
 
     When the array arguments are all 1-D of one length of at least 2 CHUNK,
-    fn runs on aligned slices of them (other arguments pass unchanged) and
-    its results are assembled from the slices. The last slice also takes
-    the remainder of fewer than CHUNK points, so no slice is shorter than
-    CHUNK. If a slice raises EvalDomainError, fn runs once over the whole
-    arrays, so the error raised is the one a single pass raises.
-
-    Assembly is the one place a scalar result is filled: when any argument
-    is an array, each result that is not one comes back as an array shaped
-    like the first array argument, holding the scalar at every point.
+    fn runs on aligned slices of them (other arguments pass unchanged), and
+    part is the slice ``slice(start, stop)`` of the points a run covered.
+    The last slice also takes the remainder of fewer than CHUNK points, so
+    no slice is shorter than CHUNK. Otherwise fn runs once, on the whole
+    arguments, and part is ``slice(None)``. If a slice raises
+    EvalDomainError, fn runs once over the whole arrays, so the error
+    raised is the one a single pass raises; if that pass completes, it
+    comes last, as ``slice(None)``, after the slices already given.
     """
     like = next((a for a in args if isinstance(a, np.ndarray)), None)
     shapes = {a.shape for a in args if isinstance(a, np.ndarray)}
     if len(shapes) == 1 and like.ndim == 1 and len(like) >= 2 * CHUNK:
         n = len(like)
-        out = None
         try:
             for start in range(0, n - CHUNK + 1, CHUNK):
                 stop = start + CHUNK if n - start >= 2 * CHUNK else n
-                values = fn(*(a[start:stop] if isinstance(a, np.ndarray) else a for a in args))
-                if out is None:
-                    out = [np.empty(n, v.dtype) if isinstance(v, np.ndarray)
-                           else np.empty_like(like) for v in values]
-                for whole, value in zip(out, values):
-                    whole[start:stop] = value
-            return tuple(out)
+                yield slice(start, stop), fn(*(a[start:stop] if isinstance(a, np.ndarray) else a
+                                               for a in args))
+            return
         except EvalDomainError:
             pass  # one pass over the whole arrays, below, raises the error
-    out = list(fn(*args))
-    if like is not None:
-        for i, value in enumerate(out):
-            if not isinstance(value, np.ndarray):
-                out[i] = np.empty_like(like)  # np.full_like(like, value), without its overhead
-                out[i].fill(value)
+    yield slice(None), fn(*args)
+
+
+def assemble(parts, like) -> tuple:
+    """The values of ``chunks``' (part, values) pairs, put together.
+
+    Assembly is the one place a scalar result is filled: when ``like`` is
+    an array, each result that is not one comes back as an array shaped
+    like it, holding the scalar at every point; a whole run's arrays are
+    returned as they are.
+    """
+    out = None
+    for part, values in parts:
+        if part == slice(None):
+            out = list(values)
+            if like is not None:
+                for i, value in enumerate(out):
+                    if not isinstance(value, np.ndarray):
+                        out[i] = np.empty_like(like)  # np.full_like(like, value), without its overhead
+                        out[i].fill(value)
+            continue
+        if out is None:
+            out = [np.empty(len(like), v.dtype) if isinstance(v, np.ndarray)
+                   else np.empty_like(like) for v in values]
+        for whole, value in zip(out, values):
+            whole[part] = value
     return tuple(out)
 
 

@@ -10,6 +10,7 @@ y0''∂z, and the recentering of a problem on any twice-differentiable path.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +24,7 @@ from .expr import (
     Expr,
     Program,
     _postorder,
+    assemble,
     diff,
     free_vars,
     parse,
@@ -151,13 +153,60 @@ def ensure_same_interval(y0: Extremal, grid: Grid) -> None:
 def certify_samples(f: Integrand, y0: Extremal, xs) -> tuple:
     """The Euler-Lagrange residual r = f_y - d/dx f_z, p and q along the path,
     as the roots of ``_along``'s program: each is checked finite, and an
-    evaluation error is the one that walking y0, r, p and q in turn raises."""
-    return _along(f, y0, True)({"x": np.asarray(xs, dtype=float)})[1:]
+    evaluation error is the one that walking y0, r, p and q in turn raises.
+    y0, the first root, is checked and dropped, never assembled."""
+    return _assembled(_along(f, y0, True), xs)
 
 
 def coefficient_samples(f: Integrand, y0: Extremal, xs) -> tuple:
     """p and q along the path, as ``certify_samples`` gives them, without r."""
-    return _along(f, y0, False)({"x": np.asarray(xs, dtype=float)})[1:]
+    return _assembled(_along(f, y0, False), xs)
+
+
+def _assembled(program: Program, xs) -> tuple:
+    xs = np.asarray(xs, dtype=float)
+    return assemble(((part, values[1:]) for part, values in program.chunks({"x": xs})), xs)
+
+
+def certify_extrema(f: Integrand, y0: Extremal, xs) -> tuple:
+    """max |r|, min p and min q along the path, folded slice by slice.
+
+    The slices are those of ``certify_samples``' program, with its checks
+    and its errors, and the three floats equal the reductions over the
+    arrays it assembles, bit for bit, save the sign of a zero minimum,
+    which numpy leaves open: here -0.0 counts as below +0.0, so a zero
+    minimum is -0.0 exactly when some point holds -0.0. Each slice is
+    reduced where it lies, and a root that does not depend on x, such as
+    a constant, is reduced as the float it is and never filled.
+    """
+    r_max, p_min, q_min = 0.0, math.inf, math.inf
+    # after a failed slice the whole points may come again, complete: max
+    # and min are the same whether a point is seen once or twice
+    for _, (_, r, p, q) in _along(f, y0, True).chunks({"x": np.asarray(xs, dtype=float)}):
+        r_max = max(r_max, _magnitude(r))
+        p_min = _below(p_min, p)
+        q_min = _below(q_min, q)
+    return r_max, p_min, q_min
+
+
+def _magnitude(values) -> float:
+    # max |values|, without the temporary of np.abs: a zero comes out +0.0
+    if isinstance(values, np.ndarray):
+        return float(max(values.max(), -values.min())) + 0.0
+    return abs(float(values))
+
+
+def _below(low: float, values) -> float:
+    # the lesser of low and min(values), -0.0 counting as below +0.0; when
+    # an array's min is zero, it has no negative value, so a set sign bit
+    # is a -0.0
+    if isinstance(values, np.ndarray):
+        least = float(values.min())
+        if least == 0.0 and np.signbit(values).any():
+            least = -0.0
+    else:
+        least = float(values)
+    return least if least < low or least == low and math.copysign(1.0, least) < 0 else low
 
 
 # _along's programs by integrand node, path and root set, both held weakly. A

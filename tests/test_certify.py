@@ -2,8 +2,11 @@
 
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from varcert import expr, variational
 from varcert.calculus import SampledPath
 from varcert.certify import _clamped_spline, _normalized, _snapped_knots
 from varcert.cli import main
-from varcert.expr import CHUNK, Expr, Program, X, Y, Z, const, parse
+from varcert.expr import CHUNK, Expr, Program, X, Y, Z, const, parse, unparse
 from varcert.variational import certify_samples
 
 from conftest import bits, digest, path_then_partials, recentred_problem, walk_along
@@ -260,6 +263,96 @@ def test_certify_runs_one_program_per_chunk(monkeypatch):
     assert len(runs) >= 2
     assert runs == [variational._along(f, y0, True)] * len(runs)
     assert sizes == _slice_lengths(grid.n + 1)
+
+
+@pytest.fixture(scope="module")
+def fold_problems():
+    # the corpus, the oscillator, and one problem per family choice of the
+    # fine-grid benchmark's slots, built with the generator's build
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    fine = inputs.draw_corpus("fine-grid", 1)
+    assert len(fine) == len(inputs.FINE_SLOTS)
+    corpus = sample_corpus(0, 100, 0.0, 0.6)
+    return ([(f, y0) for _, f, y0 in corpus + fine]
+            + [(Integrand.from_text("z^2-y^2"), Extremal.zero(0.0, 4.0))])
+
+
+# one pass below 2 CHUNK points, slices from 2 CHUNK on
+@pytest.mark.parametrize("n", [512, 2 * CHUNK - 2, 2 * CHUNK, 4 * CHUNK])
+def test_certify_folds_to_the_reductions_of_the_samples(fold_problems, n):
+    mismatched = []
+    for f, y0 in fold_problems:
+        grid = Grid(y0.a, y0.b, n)
+        cert = certify(f, y0, grid)
+        r, p, q = certify_samples(f, y0, grid.nodes)
+        got = (cert.verdict.el_residual_max.hex(), cert.p_min.hex(), cert.q_min.hex())
+        want = (float(np.max(np.abs(r))).hex(), float(p.min()).hex(), float(q.min()).hex())
+        if got != want:
+            mismatched.append((unparse(f.f), got, want))
+    assert mismatched == []
+
+
+def test_a_zero_q_min_is_minus_zero_when_some_q_is(tmp_path, capsys):
+    # the third q underflows to -0.0 left of 0.3 and to +0.0 right of it;
+    # the sign of q_min moves neither the verdict nor the exit code
+    grid = Grid(0.0, 1.0, 4 * CHUNK)
+    y0 = Extremal.zero(0.0, 1.0)
+    outcomes = []
+    for text, signs, want in (("z^2+1e-200*(x+0.3)*1e-200*y^2", {False}, 0.0),
+                              ("z^2-1e-200*(x+0.3)*1e-200*y^2", {True}, -0.0),
+                              ("z^2+1e-200*(x-0.3)*1e-200*y^2", {False, True}, -0.0)):
+        f = Integrand.from_text(text)
+        _, _, q = certify_samples(f, y0, grid.nodes)
+        assert not q.any() and set(np.signbit(q).tolist()) == signs
+        cert = certify(f, y0, grid)
+        assert cert.q_min.hex() == want.hex()
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"integrand": text, "interval": {"a": 0.0, "b": 1.0},
+                                    "extremal": "0", "grid_n": grid.n}))
+        code = main(["certify", str(path)])
+        out = capsys.readouterr().out
+        # the report writes a zero without its point, and -0.0 as -0
+        assert f'"q_min": {"-0" if math.copysign(1.0, want) < 0 else "0"},' in out
+        outcomes.append((cert.verdict, cert.quad_coefficient, code, json.loads(out)["verdict"]))
+    assert outcomes == [outcomes[0]] * 3
+    assert outcomes[0][2] == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    # sqrt's argument turns negative past x = 0.9, in the last slice
+    ("z^2+sqrt(0.9-x)*y^2", "domain error in 'sqrt': negative argument"),
+    # exp(800 x) overflows past x = 0.887
+    ("z^2+exp(800*x)*y^2", "domain error in 'sub': non-finite result"),
+])
+def test_certify_raises_the_samplers_error_from_late_slices(text, message):
+    f = Integrand.from_text(text)
+    y0 = Extremal.zero(0.0, 1.0)
+    grid = Grid(0.0, 1.0, 4 * CHUNK)
+    with pytest.raises(EvalDomainError) as expected:
+        certify_samples(f, y0, grid.nodes)
+    with pytest.raises(EvalDomainError) as err:
+        certify(f, y0, grid)
+    assert str(err.value) == str(expected.value) == message
+
+
+def test_certify_of_a_constant_problem_allocates_no_profile():
+    # r, p and q of the oscillator along 0 are floats in every slice, and
+    # the fold never fills them
+    f = Integrand.from_text("z^2-y^2")
+    y0 = Extremal.zero(0.0, 4.0)
+    grid = Grid(0.0, 4.0, 4 * CHUNK)
+    want = certify(f, y0, grid)  # compiles the program and builds the nodes
+    tracemalloc.start()
+    try:
+        got = certify(f, y0, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * (grid.n + 1)
 
 
 def _two_pass(f, y0, grid):

@@ -55,6 +55,7 @@ from varcert.expr import (
     _postorder,
     _prec,
     chunked,
+    chunks,
 )
 
 from conftest import bits, eval_at, random_tree, walk
@@ -1072,6 +1073,28 @@ def test_chunked_fills_scalar_results_like_the_first_array(monkeypatch, n, fails
     for got, want in ((two, np.full(n, 2.5)), (zero, np.full(n, -0.0)), (scaled, 3.0 * xs)):
         assert isinstance(got, np.ndarray)
         assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("n, failing, parts", [
+    (2 * _SLICE - 1, None, [slice(None)]),
+    (3 * _SLICE, None, [slice(0, _SLICE), slice(_SLICE, 2 * _SLICE), slice(2 * _SLICE, 3 * _SLICE)]),
+    # a failing slice ends the slices; the whole pass, here complete, comes last
+    (3 * _SLICE, _SLICE, [slice(0, _SLICE), slice(None)]),
+])
+def test_chunks_hands_over_each_run_unfilled(monkeypatch, n, failing, parts):
+    monkeypatch.setattr(expr, "CHUNK", _SLICE)
+    xs = np.arange(n, dtype=float)
+
+    def fn(scale, a):
+        if a[0] == failing and len(a) < n:
+            raise EvalDomainError("div", "division by zero")
+        return 2.5, scale * a
+
+    got = list(chunks(fn, 3.0, xs))
+    assert [part for part, _ in got] == parts
+    for part, (two, scaled) in got:
+        assert type(two) is float and two == 2.5
+        assert np.array_equal(scaled, 3.0 * xs[part])
 
 
 def test_chunked_fills_scalars_to_the_first_array_of_several_shapes():
